@@ -18,7 +18,7 @@ double FlosEngine::MaxUnknownDegree() {
   const auto& order = accessor_->DegreeOrder();
   while (degree_cursor_ < order.size() &&
          (local_.Contains(order[degree_cursor_]) ||
-          local_.IsOutsideAdjacent(order[degree_cursor_]))) {
+          bounds_.IsOutsideAdjacent(order[degree_cursor_]))) {
     ++degree_cursor_;
   }
   // An unknown node may also live outside the accessor entirely (sharded

@@ -90,8 +90,10 @@ class FlosEngine {
 
   /// Maximum weighted degree among nodes neither visited nor adjacent to
   /// the visited set, via the accessor's descending degree order (Section
-  /// 5.6). The cursor only advances within a query (membership only
-  /// grows) and rewinds to 0 between queries.
+  /// 5.6). Adjacency is the delta-S-bar set the bound engine enumerated in
+  /// the ComputeOutsideUppers call that must immediately precede this one.
+  /// The cursor only advances within a query (S and S + delta-S-bar only
+  /// grow) and rewinds to 0 between queries.
   double MaxUnknownDegree();
 
   GraphAccessor* accessor_;

@@ -12,22 +12,22 @@ constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max() - 1;
 /// length L occupies at most 2L arena entries and is copied O(L) times
 /// total across all growths.
 constexpr uint32_t kMinSlab = 4;
+/// How many joins ahead Expand hints the accessor: far enough for a hinted
+/// node's CSR lines to arrive before its Add, near enough that they are
+/// still cached when it does.
+constexpr size_t kPrefetchAhead = 4;
 }  // namespace
 
 LocalGraph::LocalGraph(GraphAccessor* accessor) : accessor_(accessor) {
   const bool dense = accessor->DenseIndexHint();
   const uint64_t n = accessor->NumNodes();
   global_to_local_.Configure(n, dense);
-  degree_cache_.Configure(n, dense);
-  ever_adjacent_.Configure(n, dense);
 }
 
 void LocalGraph::Reset() {
   query_ = kInvalidNode;
   query_count_ = 0;
   global_to_local_.Reset();
-  degree_cache_.Reset();
-  ever_adjacent_.Reset();
   local_to_global_.clear();
   weighted_degree_.clear();
   hidden_mass_.clear();
@@ -43,8 +43,6 @@ void LocalGraph::Reset() {
   dirty_out_.clear();
   in_dirty_.clear();
   hop_dist_.clear();
-  outside_degree_heap_.clear();
-  heap_compact_size_ = 0;
   // neighbors_ keeps its high-water slots (and the slots their buffers);
   // Size() gates which entries are live.
 }
@@ -73,7 +71,6 @@ Status LocalGraph::Init(const std::vector<NodeId>& queries) {
     FLOS_RETURN_IF_ERROR(Add(q));
   }
   query_ = queries.front();
-  heap_compact_size_ = Size();
   FLOS_AUDIT_SCOPE { AuditBookkeeping(); }
   return Status::OK();
 }
@@ -175,7 +172,6 @@ Status LocalGraph::Add(NodeId global) {
   weighted_degree_.push_back(wi);
   hidden_mass_.push_back(hidden);
   if (hidden > 0) truncated_seen_ = true;
-  degree_cache_.Insert(global, wi);
 
   // New empty row; its first append carves a slab off the arena tail.
   row_start_.push_back(arena_used_);
@@ -188,13 +184,11 @@ Status LocalGraph::Add(NodeId global) {
   if (local >= neighbors_.size()) neighbors_.emplace_back();
 
   // Build this node's within-S row and patch existing rows/boundary counts.
-  // Each neighbor's visited status is resolved with ONE index probe and
-  // remembered in scratch_local_ for the delta-S-bar pass below.
+  // Each neighbor's visited status is resolved with ONE index probe; an
+  // unvisited neighbor only counts toward the outside count.
   uint32_t outside = 0;
-  scratch_local_.clear();
   for (const Neighbor& nb : scratch_) {
     const LocalId j = LocalIndex(nb.id);
-    scratch_local_.push_back(j);
     if (j == kInvalidLocal) {
       ++outside;
       continue;
@@ -217,21 +211,10 @@ Status LocalGraph::Add(NodeId global) {
   outside_count_.push_back(outside);
   if (outside > 0) ++boundary_count_;
 
-  // Maintain delta-S-bar (unvisited nodes adjacent to S) with probed
-  // degrees, feeding MaxOutsideAdjacentDegree. The neighbor list lands in
-  // its slot by swap, leaving the slot's previous buffer as the next fetch
-  // scratch.
-  std::vector<Neighbor>& nbrs = neighbors_[local];
-  nbrs.swap(scratch_);
+  // The neighbor list lands in its slot by swap, leaving the slot's
+  // previous buffer as the next fetch scratch.
+  neighbors_[local].swap(scratch_);
   scratch_.clear();
-  for (size_t i = 0; i < nbrs.size(); ++i) {
-    if (scratch_local_[i] != kInvalidLocal) continue;
-    if (ever_adjacent_.Insert(nbrs[i].id, 1)) {
-      outside_degree_heap_.emplace_back(ProbeDegree(nbrs[i].id), nbrs[i].id);
-      std::push_heap(outside_degree_heap_.begin(),
-                     outside_degree_heap_.end());
-    }
-  }
 
   // Within-S hop distances: initialize from visited neighbors, then relax
   // decreases through existing rows (new edges can create shortcuts).
@@ -262,29 +245,6 @@ Status LocalGraph::Add(NodeId global) {
   return Status::OK();
 }
 
-double LocalGraph::MaxOutsideAdjacentDegree() {
-  // Amortized wholesale drain: once the visited set has doubled since the
-  // last compaction, filter out every entry whose node has been visited.
-  // Each visit is charged O(1), so long (e.g. multi-source) queries don't
-  // retain stale entries indefinitely.
-  if (outside_degree_heap_.size() > 64 && Size() >= 2 * heap_compact_size_) {
-    std::erase_if(outside_degree_heap_,
-                  [&](const std::pair<double, NodeId>& e) {
-                    return Contains(e.second);
-                  });
-    std::make_heap(outside_degree_heap_.begin(), outside_degree_heap_.end());
-    heap_compact_size_ = Size();
-  }
-  while (!outside_degree_heap_.empty()) {
-    if (!Contains(outside_degree_heap_.front().second)) {
-      return outside_degree_heap_.front().first;
-    }
-    std::pop_heap(outside_degree_heap_.begin(), outside_degree_heap_.end());
-    outside_degree_heap_.pop_back();
-  }
-  return 0;
-}
-
 uint32_t LocalGraph::UnvisitedHopLowerBound() const {
   uint32_t best = kUnreachable;
   for (LocalId i = 0; i < Size(); ++i) {
@@ -305,8 +265,15 @@ Result<uint32_t> LocalGraph::Expand(LocalId u) {
   for (const Neighbor& nb : neighbors_[u]) {
     if (LocalIndex(nb.id) == kInvalidLocal) expand_scratch_.push_back(nb.id);
   }
-  for (const NodeId v : expand_scratch_) {
-    FLOS_RETURN_IF_ERROR(Add(v));
+  const size_t joins = expand_scratch_.size();
+  for (size_t i = 0; i < std::min(joins, kPrefetchAhead); ++i) {
+    accessor_->Prefetch(expand_scratch_[i]);
+  }
+  for (size_t i = 0; i < joins; ++i) {
+    if (i + kPrefetchAhead < joins) {
+      accessor_->Prefetch(expand_scratch_[i + kPrefetchAhead]);
+    }
+    FLOS_RETURN_IF_ERROR(Add(expand_scratch_[i]));
   }
   FLOS_AUDIT_SCOPE {
     if (!expand_scratch_.empty()) AuditBookkeeping();
@@ -321,13 +288,6 @@ const std::vector<LocalId>& LocalGraph::TakeDirtyNodes() {
   return dirty_out_;
 }
 
-double LocalGraph::ProbeDegree(NodeId global) {
-  if (const double* cached = degree_cache_.Find(global)) return *cached;
-  const double w = accessor_->WeightedDegree(global);
-  degree_cache_.Insert(global, w);
-  return w;
-}
-
 void LocalGraph::SaveSnapshot(LocalGraphSnapshot* out) const {
   FLOS_CHECK(query_ != kInvalidNode, "SaveSnapshot needs an Init'd graph");
   const uint32_t n = Size();
@@ -340,8 +300,19 @@ void LocalGraph::SaveSnapshot(LocalGraphSnapshot* out) const {
   out->outside_count = outside_count_;
   out->boundary_count = boundary_count_;
   // Only the first n neighbor slots are live; slots past the high-water
-  // mark belong to earlier queries.
-  out->neighbors.assign(neighbors_.begin(), neighbors_.begin() + n);
+  // mark belong to earlier queries. Flattened into one list + offsets.
+  out->neighbor_offsets.resize(n + 1);
+  out->neighbor_offsets[0] = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    out->neighbor_offsets[i + 1] =
+        out->neighbor_offsets[i] + static_cast<uint32_t>(neighbors_[i].size());
+  }
+  out->neighbor_list.clear();
+  out->neighbor_list.reserve(out->neighbor_offsets[n]);
+  for (uint32_t i = 0; i < n; ++i) {
+    out->neighbor_list.insert(out->neighbor_list.end(), neighbors_[i].begin(),
+                              neighbors_[i].end());
+  }
   // Only the used arena prefix: slab capacities never extend past the bump
   // pointer (AuditBookkeeping checks exactly this).
   out->arena_idx.assign(arena_idx_.begin(), arena_idx_.begin() + arena_used_);
@@ -353,8 +324,6 @@ void LocalGraph::SaveSnapshot(LocalGraphSnapshot* out) const {
   out->row_cap = row_cap_;
   out->row_in_mass = row_in_mass_;
   out->hop_dist = hop_dist_;
-  out->outside_degree_heap = outside_degree_heap_;
-  out->heap_compact_size = heap_compact_size_;
 }
 
 void LocalGraph::RestoreSnapshot(const LocalGraphSnapshot& snap) {
@@ -372,7 +341,11 @@ void LocalGraph::RestoreSnapshot(const LocalGraphSnapshot& snap) {
   // Copy the live neighbor lists slot by slot so slots keep their reusable
   // buffers; slots past n stay as high-water scratch.
   if (neighbors_.size() < n) neighbors_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) neighbors_[i] = snap.neighbors[i];
+  for (uint32_t i = 0; i < n; ++i) {
+    neighbors_[i].assign(
+        snap.neighbor_list.begin() + snap.neighbor_offsets[i],
+        snap.neighbor_list.begin() + snap.neighbor_offsets[i + 1]);
+  }
   if (arena_idx_.size() < snap.arena_used) {
     arena_idx_.resize(snap.arena_used);
     arena_weight_.resize(snap.arena_used);
@@ -386,22 +359,10 @@ void LocalGraph::RestoreSnapshot(const LocalGraphSnapshot& snap) {
   row_cap_ = snap.row_cap;
   row_in_mass_ = snap.row_in_mass;
   hop_dist_ = snap.hop_dist;
-  outside_degree_heap_ = snap.outside_degree_heap;
-  heap_compact_size_ = snap.heap_compact_size;
-  // Rebuild the epoch-keyed indexes. Visit order reproduces the dense
-  // local ids; the degree cache is primed from known degrees (anything
-  // else re-probes the accessor on demand); the ever-adjacent set is
-  // rebuilt from the heap, which covers every unvisited ever-adjacent
-  // node — pushes happen exactly on first adjacency and compaction only
-  // drops visited entries (visited members only matter through
-  // IsOutsideAdjacent, which excludes them anyway).
+  // Rebuild the one epoch-keyed index: visit order reproduces the dense
+  // local ids.
   for (LocalId i = 0; i < n; ++i) {
     global_to_local_.Insert(local_to_global_[i], i);
-    degree_cache_.Insert(local_to_global_[i], weighted_degree_[i]);
-  }
-  for (const auto& [degree, node] : outside_degree_heap_) {
-    ever_adjacent_.Insert(node, 1);
-    degree_cache_.Insert(node, degree);
   }
   // Every node dirty: the consuming bound engine recomputes all boundary
   // coefficients on its next refresh instead of trusting any prior state.

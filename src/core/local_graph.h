@@ -8,7 +8,12 @@
 //
 // A node "joins S" when its neighbor list is fetched through the
 // GraphAccessor; the number of fetches equals |S|, matching the paper's
-// "number of visited nodes".
+// "number of visited nodes". Joining costs one neighbor fetch, one degree
+// read and one visited-index probe per neighbor — nothing is recorded for
+// the unvisited neighbors themselves. The unvisited frontier (delta-S-bar)
+// is not maintained here: the bound engine enumerates it from the
+// boundary's neighbor lists when a termination test needs it
+// (UnifiedBoundEngine::ComputeOutsideUppers).
 //
 // Within-S rows live in a FLAT LOCAL CSR in structure-of-arrays form: one
 // arena of `LocalId` column indices and one parallel arena of `double`
@@ -31,7 +36,6 @@
 #define FLOS_CORE_LOCAL_GRAPH_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/node_index.h"
@@ -61,14 +65,13 @@ struct LocalRow {
 /// Deep, self-contained copy of a LocalGraph's per-query state, for the
 /// warm-subgraph cache (core/subgraph_cache.h). Holds everything a resumed
 /// query needs that cannot be rebuilt locally: the visited set in visit
-/// order, the compacted local CSR (used arena prefix + spines), neighbor
-/// lists, boundary/hidden-mass bookkeeping, hop distances, and the
-/// delta-S-bar degree heap. The epoch-keyed node indexes
-/// (global_to_local, degree cache, ever-adjacent set) are NOT stored —
-/// RestoreSnapshot rebuilds them from the visit order and the heap, which
-/// provably covers every unvisited ever-adjacent node (heap entries are
-/// pushed exactly when a node first becomes adjacent and compaction only
-/// drops visited ones).
+/// order, the compacted local CSR (used arena prefix + spines), the
+/// fetched neighbor lists, boundary/hidden-mass bookkeeping and hop
+/// distances. The neighbor lists are stored flat — node i's list is
+/// neighbor_list[neighbor_offsets[i], neighbor_offsets[i + 1]) — so a
+/// snapshot costs a handful of allocations however large S is. The
+/// epoch-keyed visited index (global_to_local) is NOT stored;
+/// RestoreSnapshot rebuilds it from the visit order.
 struct LocalGraphSnapshot {
   NodeId query = kInvalidNode;
   uint32_t query_count = 0;
@@ -78,7 +81,8 @@ struct LocalGraphSnapshot {
   bool truncated_seen = false;
   std::vector<uint32_t> outside_count;
   uint32_t boundary_count = 0;
-  std::vector<std::vector<Neighbor>> neighbors;
+  std::vector<uint32_t> neighbor_offsets;  ///< Size() + 1 entries
+  std::vector<Neighbor> neighbor_list;
   std::vector<LocalId> arena_idx;
   std::vector<double> arena_weight;
   uint32_t arena_used = 0;
@@ -87,10 +91,11 @@ struct LocalGraphSnapshot {
   std::vector<uint32_t> row_cap;
   std::vector<double> row_in_mass;
   std::vector<uint32_t> hop_dist;
-  std::vector<std::pair<double, NodeId>> outside_degree_heap;
-  uint32_t heap_compact_size = 0;
 
   uint32_t Size() const { return static_cast<uint32_t>(local_to_global.size()); }
+
+  friend bool operator==(const LocalGraphSnapshot&,
+                         const LocalGraphSnapshot&) = default;
 };
 
 /// The visited subgraph S with its boundary bookkeeping.
@@ -118,7 +123,9 @@ class LocalGraph {
   void Reset();
 
   /// Expands node `u` (must be visited): every unvisited neighbor of `u`
-  /// joins S. Returns the number of nodes added.
+  /// joins S. Returns the number of nodes added. Hints the accessor
+  /// (GraphAccessor::Prefetch) a few nodes ahead of each join so the
+  /// batch's random CSR reads overlap.
   Result<uint32_t> Expand(LocalId u);
 
   /// Number of visited nodes |S|.
@@ -198,10 +205,13 @@ class LocalGraph {
     return neighbors_[local];
   }
 
-  /// Weighted degree of an arbitrary (possibly unvisited) node, cached so
-  /// repeated probes of the same node cost one accessor call. Used by the
-  /// self-loop tightening, which needs degrees of unvisited boundary nodes.
-  double ProbeDegree(NodeId global);
+  /// Weighted degree of an arbitrary (possibly unvisited) node, read
+  /// straight from the accessor (every accessor serves it as one array
+  /// read). Used by the self-loop tightening and the frontier uppers, which
+  /// need degrees of unvisited boundary nodes.
+  double ProbeDegree(NodeId global) {
+    return accessor_->WeightedDegree(global);
+  }
 
   /// Nodes whose outside-neighbor set changed since the last call (newly
   /// added nodes and their visited neighbors), deduplicated. The bound
@@ -220,16 +230,6 @@ class LocalGraph {
   /// the boundary before leaving S. Returns a large sentinel when S is
   /// exhausted (no unvisited nodes are reachable). Used by the THT bounds.
   uint32_t UnvisitedHopLowerBound() const;
-
-  /// True iff `global` is unvisited but adjacent to S (in delta-S-bar).
-  bool IsOutsideAdjacent(NodeId global) const {
-    return ever_adjacent_.Contains(global) && !Contains(global);
-  }
-
-  /// Largest weighted degree among the unvisited nodes adjacent to S
-  /// (delta-S-bar); 0 if none. Degrees are known from probes. Used by the
-  /// FLoS_RWR termination test (Section 5.6 refinement).
-  double MaxOutsideAdjacentDegree();
 
   GraphAccessor* accessor() { return accessor_; }
 
@@ -300,25 +300,13 @@ class LocalGraph {
   std::vector<uint32_t> row_cap_;
   std::vector<double> row_in_mass_;
 
-  NodeMap<double> degree_cache_;
   std::vector<Neighbor> scratch_;
-  std::vector<LocalId> scratch_local_;   // visited-status cache in Add
   std::vector<NodeId> expand_scratch_;   // unvisited neighbors in Expand
   std::vector<LocalId> relax_scratch_;   // hop-distance relaxation queue
   std::vector<LocalId> dirty_;
   std::vector<LocalId> dirty_out_;
   std::vector<bool> in_dirty_;
   std::vector<uint32_t> hop_dist_;
-  /// Nodes that were EVER adjacent to S this query (a superset of
-  /// delta-S-bar: epoch maps do not erase, so membership in the current
-  /// delta-S-bar additionally requires being unvisited — see
-  /// IsOutsideAdjacent).
-  NodeMap<uint8_t> ever_adjacent_;
-  /// Lazy max-heap over delta-S-bar degrees; entries whose node has since
-  /// been visited are skipped on pop and drained wholesale once the
-  /// visited set doubles, so long queries don't accumulate stale entries.
-  std::vector<std::pair<double, NodeId>> outside_degree_heap_;
-  uint32_t heap_compact_size_ = 0;  ///< |S| at the last heap compaction
 };
 
 }  // namespace flos

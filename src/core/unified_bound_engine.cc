@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <utility>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -22,6 +20,8 @@ constexpr double kSandwichSlack = 1e-12;
 UnifiedBoundEngine::UnifiedBoundEngine(LocalGraph* local,
                                        const UnifiedBoundOptions& options)
     : local_(local) {
+  GraphAccessor* accessor = local->accessor();
+  outside_index_.Configure(accessor->NumNodes(), accessor->DenseIndexHint());
   Reset(options);
 }
 
@@ -178,18 +178,26 @@ void UnifiedBoundEngine::AuditNoLooserThanJacobi(
 UnifiedBoundEngine::OutsideUppers UnifiedBoundEngine::ComputeOutsideUppers() {
   // Accumulate, per unvisited frontier node v, the in-S transition mass
   // and its upper-bound-weighted sum, by walking the boundary's outside
-  // edges. p_vu = w_uv / w_v with w_v from the degree probe cache.
-  std::unordered_map<NodeId, std::pair<double, double>> acc;  // mass, sum
+  // edges. p_vu = w_uv / w_v, with w_v probed once per frontier node.
+  outside_index_.Reset();
+  outside_acc_.clear();
   for (LocalId u = 0; u < local_->Size(); ++u) {
     if (!local_->IsBoundary(u)) continue;
     const double ru = local_->IsQueryLocal(u) ? 1.0 : upper(u);
     for (const Neighbor& nb : local_->Neighbors(u)) {
       if (local_->Contains(nb.id)) continue;
-      const double wv = local_->ProbeDegree(nb.id);
-      if (wv <= 0) continue;
-      auto& [mass, sum] = acc[nb.id];
-      mass += nb.weight / wv;
-      sum += nb.weight / wv * ru;
+      OutsideAcc* acc = nullptr;
+      if (const uint32_t* slot = outside_index_.Find(nb.id)) {
+        acc = &outside_acc_[*slot];
+      } else {
+        const double wv = local_->ProbeDegree(nb.id);
+        if (wv <= 0) continue;
+        outside_index_.Insert(nb.id,
+                              static_cast<uint32_t>(outside_acc_.size()));
+        acc = &outside_acc_.emplace_back(OutsideAcc{wv, 0, 0});
+      }
+      acc->mass += nb.weight / acc->degree;
+      acc->sum += nb.weight / acc->degree * ru;
     }
   }
   OutsideUppers out;
@@ -202,12 +210,12 @@ UnifiedBoundEngine::OutsideUppers UnifiedBoundEngine::ComputeOutsideUppers() {
   // forever, so dummy_mesh_ dominates it by its capture rule).
   const double residual_dummy =
       local_->HasTruncatedRows() ? dummy_mesh_ : dummy_tight_;
-  for (const auto& [v, ms] : acc) {
-    const double residual = std::max(0.0, 1.0 - ms.first);
-    const double bound = alpha * (ms.second + residual * residual_dummy);
+  for (const OutsideAcc& acc : outside_acc_) {
+    const double residual = std::max(0.0, 1.0 - acc.mass);
+    const double bound = alpha * (acc.sum + residual * residual_dummy);
     out.max_value = std::max(out.max_value, bound);
     out.max_degree_weighted =
-        std::max(out.max_degree_weighted, local_->ProbeDegree(v) * bound);
+        std::max(out.max_degree_weighted, acc.degree * bound);
     out.any = true;
   }
   return out;

@@ -59,6 +59,7 @@
 
 #include "core/local_graph.h"
 #include "core/measure_traits.h"
+#include "core/node_index.h"
 #include "core/sweep_kernel.h"
 
 namespace flos {
@@ -192,12 +193,22 @@ class UnifiedBoundEngine {
   /// Every unvisited node is bounded by `max_value`; nodes not adjacent to
   /// S by an extra alpha factor; `max_degree_weighted` maxes w_v * bound
   /// over delta-S-bar (the quantity FLoS_RWR's termination needs).
+  /// Enumerates delta-S-bar from the boundary's neighbor lists on every
+  /// call and remembers it until the next call (IsOutsideAdjacent).
   struct OutsideUppers {
     double max_value = 0;            ///< max over delta-S-bar of r-bar_v
     double max_degree_weighted = 0;  ///< max over delta-S-bar of w_v r-bar_v
     bool any = false;
   };
   OutsideUppers ComputeOutsideUppers();
+
+  /// True iff `v` was in delta-S-bar (unvisited, adjacent to S, positive
+  /// degree) at the last ComputeOutsideUppers call. FLoS_RWR's
+  /// unknown-degree scan skips these nodes: their degrees are already
+  /// covered by max_degree_weighted.
+  bool IsOutsideAdjacent(NodeId v) const {
+    return outside_index_.Contains(v);
+  }
 
   /// Copies the live (lower, upper) pairs — 2 * Size() doubles — into
   /// `out`, for the warm-subgraph cache. Pair the vector with
@@ -279,6 +290,15 @@ class UnifiedBoundEngine {
   std::vector<double> work_hi_;
   std::vector<double> next_lo_;
   std::vector<double> next_hi_;
+  /// ComputeOutsideUppers' per-call accumulator over delta-S-bar: the
+  /// epoch-reset index maps a frontier node to its slot in outside_acc_.
+  struct OutsideAcc {
+    double degree;
+    double mass;  ///< sum over visited neighbors u of p_vu
+    double sum;   ///< sum over visited neighbors u of p_vu * upper_u
+  };
+  NodeMap<uint32_t> outside_index_;
+  std::vector<OutsideAcc> outside_acc_;
   double dummy_mesh_ = 1.0;   ///< >= unvisited AND visited-boundary values
   double dummy_tight_ = 1.0;  ///< >= unvisited values only
   bool deadline_hit_ = false; ///< last solve stopped on the deadline

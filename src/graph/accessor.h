@@ -65,6 +65,12 @@ class GraphAccessor {
   /// Non-const: implementations count fetches and may touch caches.
   virtual Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) = 0;
 
+  /// Hint that u's neighbor list and degree will be read soon. A hint
+  /// only: it counts nothing, changes no state visible through this
+  /// interface, and may do nothing at all (the default). Implementations
+  /// whose reads are memory-latency bound issue CPU prefetches.
+  virtual void Prefetch(NodeId u) { (void)u; }
+
   /// Node ids sorted by descending weighted degree. Used by FLoS_RWR to
   /// bound the maximum degree among unvisited nodes.
   virtual const std::vector<NodeId>& DegreeOrder() const = 0;
@@ -130,6 +136,9 @@ class InMemoryAccessor final : public GraphAccessor {
     return graph_->WeightedDegree(u);
   }
   Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) override;
+  void Prefetch(NodeId u) override {
+    if (u < graph_->NumNodes()) graph_->Prefetch(u);
+  }
   const std::vector<NodeId>& DegreeOrder() const override {
     return graph_->DegreeOrder();
   }

@@ -77,6 +77,13 @@ class Graph {
   /// Used by FLoS_RWR to maintain the maximum unvisited degree.
   const std::vector<NodeId>& DegreeOrder() const { return degree_order_; }
 
+  /// Issues CPU read prefetches for u's CSR offset and weighted degree —
+  /// the first loads of a neighbor fetch — so they can overlap other work.
+  void Prefetch(NodeId u) const {
+    __builtin_prefetch(offsets_.data() + u, 0, 1);
+    __builtin_prefetch(weighted_degree_.data() + u, 0, 1);
+  }
+
   /// Raw CSR arrays, for algorithms that iterate the whole graph.
   const std::vector<uint64_t>& offsets() const { return offsets_; }
   const std::vector<NodeId>& neighbors() const { return neighbors_; }

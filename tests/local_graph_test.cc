@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/accessor.h"
+#include "graph/generators.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -187,19 +188,30 @@ TEST(LocalGraphTest, RowsSurviveSlabGrowthAndReset) {
   }
 }
 
-TEST(LocalGraphTest, ProbeDegreeCaches) {
-  const Graph g = PaperExampleGraph();
-  InMemoryAccessor accessor(&g);
-  LocalGraph local(&accessor);
-  FLOS_ASSERT_OK(local.Init(0));
-  const uint64_t before = accessor.stats().degree_probes;
-  EXPECT_DOUBLE_EQ(local.ProbeDegree(7), 3.0);  // paper node 8
-  EXPECT_DOUBLE_EQ(local.ProbeDegree(7), 3.0);
-  EXPECT_EQ(accessor.stats().degree_probes, before + 1)
-      << "second probe must hit the cache";
-  // Visited nodes are already cached from their fetch.
-  EXPECT_DOUBLE_EQ(local.ProbeDegree(0), 2.0);
-  EXPECT_EQ(accessor.stats().degree_probes, before + 1);
+TEST(LocalGraphTest, ExpansionProbesOneDegreePerVisitedNode) {
+  // Joining S reads the new node's own degree and nothing else per
+  // neighbor: no probes for unvisited neighbors, no per-neighbor cache.
+  GeneratorOptions rand;
+  rand.num_nodes = 10000;
+  rand.num_edges = 50000;
+  rand.seed = 3;
+  const Graph graphs[] = {PaperExampleGraph(),
+                          ValueOrDie(GenerateErdosRenyi(rand))};
+  for (const Graph& g : graphs) {
+    InMemoryAccessor accessor(&g);
+    LocalGraph local(&accessor);
+    FLOS_ASSERT_OK(local.Init(0));
+    EXPECT_EQ(accessor.stats().degree_probes, local.Size());
+    // Breadth-first expansion in visit order until S holds ~2000 nodes
+    // (the whole component of the paper graph).
+    for (LocalId u = 0; u < local.Size() && local.Size() < 2000; ++u) {
+      FLOS_ASSERT_OK(local.Expand(u).status());
+      ASSERT_EQ(accessor.stats().degree_probes, local.Size())
+          << "after expanding local " << u;
+    }
+    EXPECT_GT(local.Size(), 1u);
+    EXPECT_EQ(accessor.stats().neighbor_fetches, local.Size());
+  }
 }
 
 TEST(LocalGraphTest, RejectsBadIds) {

@@ -15,6 +15,7 @@
 #include "core/flos.h"
 #include "core/flos_engine.h"
 #include "core/measure_traits.h"
+#include "graph/accessor.h"
 #include "graph/dynamic_graph.h"
 #include "measures/exact.h"
 #include "tests/test_util.h"
@@ -169,6 +170,57 @@ TEST(SubgraphCacheTest, WarmResumeAnswersEqualColdGroundTruth) {
     EXPECT_GE(exact[s.node], s.lower - 1e-7);
     EXPECT_LE(exact[s.node], s.upper + 1e-7);
   }
+}
+
+TEST(SubgraphCacheTest, SnapshotRoundTripIsLosslessAndCertifies) {
+  const Graph g = RandomConnectedGraph(2000, 8000, 43);
+  InMemoryAccessor accessor(&g);
+  SubgraphCache cache(4);
+  FlosEngine engine(&accessor);
+  engine.set_subgraph_cache(&cache);
+  FlosOptions options;
+  options.measure = Measure::kPhp;
+  const NodeId q = 11;
+  const FlosResult cold = ValueOrDie(engine.TopK(q, 10, options));
+  ASSERT_TRUE(cold.stats.exact);
+  const auto deposit = cache.Lookup(SubgraphCache::MakeKey(
+      q, BoundTraitsFor(options.measure, options.c, options.tht_length),
+      accessor.Epoch()));
+  ASSERT_NE(deposit, nullptr);
+  const LocalGraphSnapshot& saved = deposit->local;
+  ASSERT_GT(saved.Size(), 1u);
+  ASSERT_EQ(saved.neighbor_offsets.size(), saved.Size() + 1);
+  ASSERT_EQ(saved.neighbor_list.size(), saved.neighbor_offsets.back());
+
+  // Restore into a workspace that already served a larger query, so the
+  // restore lands on reused neighbor slots and a longer arena.
+  InMemoryAccessor other(&g);
+  LocalGraph local(&other);
+  FLOS_ASSERT_OK(local.Init(q + 1));
+  for (LocalId u = 0; u < local.Size() && local.Size() < 2 * saved.Size();
+       ++u) {
+    FLOS_ASSERT_OK(local.Expand(u).status());
+  }
+  local.Reset();
+  local.RestoreSnapshot(saved);  // AuditBookkeeping runs here under audit
+  ASSERT_EQ(local.Size(), saved.Size());
+  for (LocalId i = 0; i < local.Size(); ++i) {
+    ASSERT_EQ(local.LocalIndex(saved.local_to_global[i]), i);
+  }
+  LocalGraphSnapshot again;
+  local.SaveSnapshot(&again);
+  EXPECT_EQ(again.neighbor_offsets, saved.neighbor_offsets);
+  EXPECT_TRUE(again.neighbor_list == saved.neighbor_list);
+  EXPECT_EQ(again.arena_idx, saved.arena_idx);
+  EXPECT_EQ(again.arena_weight, saved.arena_weight);
+  EXPECT_TRUE(again == saved) << "save -> restore -> save must be lossless";
+
+  // The engine's own restore of the deposit certifies the cold answer.
+  const FlosResult warm = ValueOrDie(engine.TopK(q, 10, options));
+  EXPECT_TRUE(warm.stats.subgraph_hit);
+  ASSERT_TRUE(warm.stats.exact);
+  EXPECT_EQ(warm.stats.expansions, 0u);
+  EXPECT_EQ(SortedNodes(warm), SortedNodes(cold));
 }
 
 TEST(SubgraphCacheTest, SnapshotServesDifferentKAndSharedMeasures) {
