@@ -8,6 +8,12 @@
 // from its certified rank interval, and the engine expands in descending
 // score order.
 //
+// The order is total: priority descending, then local id (visit order)
+// ascending. Equal priorities are common on symmetric neighborhoods, and
+// the tie-break keeps the schedule, and so every visit count, independent
+// of how the engine selects from the boundary (it pops a heap, expanding
+// only the few nodes an outer iteration needs).
+//
 //  * BestFirst — the paper's Algorithm 3: priority = the interval
 //    midpoint's rank (negated for minimize measures). Expands where the
 //    answer probably is.

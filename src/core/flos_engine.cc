@@ -410,8 +410,13 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
       certified = true;
       break;
     }
-    std::sort(frontier_.begin(), frontier_.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
+    // Only a handful of the boundary gets expanded per outer iteration, so
+    // select from a heap instead of sorting it all. The order is total:
+    // priority descending, then local id ascending (expansion_policy.h).
+    const auto expands_later = [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first < b.first : a.second > b.second;
+    };
+    std::make_heap(frontier_.begin(), frontier_.end(), expands_later);
     // Adaptive mode targets ~12.5% growth of |S| per bound update, so the
     // number of O(edges(S)) updates stays logarithmic in the visited count
     // while overshoot past the certification point stays small.
@@ -422,8 +427,10 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
 
     bounds_.CaptureDummyFromBoundary();  // r_d from the previous delta-S
     size_t expanded = 0;
-    for (const auto& [priority, node] : frontier_) {
-      (void)priority;
+    while (!frontier_.empty()) {
+      std::pop_heap(frontier_.begin(), frontier_.end(), expands_later);
+      const LocalId node = frontier_.back().second;
+      frontier_.pop_back();
       FLOS_ASSIGN_OR_RETURN(const uint32_t added, local_.Expand(node));
       (void)added;
       ++stats.expansions;

@@ -4,7 +4,7 @@
 // index, neighbor lists, bound vectors — on every call, so sustained
 // throughput is dominated by allocator traffic rather than the algorithm.
 // `FlosEngine` owns that state as a persistent workspace (LocalGraph with
-// epoch-versioned node indexes, the unified bound engine, the
+// resettable node indexes, the unified bound engine, the
 // frontier/candidate scratch) and resets it in O(|S|) between queries;
 // steady-state queries allocate nothing. `FlosTopK`/`FlosTopKSet` remain
 // as thin wrappers that construct a throwaway engine.
@@ -111,6 +111,8 @@ class FlosEngine {
   std::vector<Candidate> interior_;
   std::vector<Candidate> selected_;
   std::vector<Candidate> pool_;
+  /// (priority, local id) of each expandable boundary node, kept as a heap
+  /// during an outer iteration's expansions.
   std::vector<std::pair<double, LocalId>> frontier_;
   /// Filtered queries: match_[local] == 1 iff the node satisfies the
   /// request predicate. Filled incrementally (local ids are append-only

@@ -359,8 +359,7 @@ void LocalGraph::RestoreSnapshot(const LocalGraphSnapshot& snap) {
   row_cap_ = snap.row_cap;
   row_in_mass_ = snap.row_in_mass;
   hop_dist_ = snap.hop_dist;
-  // Rebuild the one epoch-keyed index: visit order reproduces the dense
-  // local ids.
+  // Rebuild the visited index: visit order reproduces the dense local ids.
   for (LocalId i = 0; i < n; ++i) {
     global_to_local_.Insert(local_to_global_[i], i);
   }

@@ -10,10 +10,12 @@
 // GraphAccessor; the number of fetches equals |S|, matching the paper's
 // "number of visited nodes". Joining costs one neighbor fetch, one degree
 // read and one visited-index probe per neighbor — nothing is recorded for
-// the unvisited neighbors themselves. The unvisited frontier (delta-S-bar)
-// is not maintained here: the bound engine enumerates it from the
-// boundary's neighbor lists when a termination test needs it
-// (UnifiedBoundEngine::ComputeOutsideUppers).
+// the unvisited neighbors themselves. On in-memory graphs the visited index
+// is a presence bitmap (core/node_index.h), so the usual probe, a miss on
+// an unvisited neighbor, reads one cached bit and no per-node array. The
+// unvisited frontier (delta-S-bar) is not maintained here: the bound engine
+// enumerates it from the boundary's neighbor lists when a termination test
+// needs it (UnifiedBoundEngine::ComputeOutsideUppers).
 //
 // Within-S rows live in a FLAT LOCAL CSR in structure-of-arrays form: one
 // arena of `LocalId` column indices and one parallel arena of `double`
@@ -27,10 +29,11 @@
 //
 // Reuse: a LocalGraph is a per-worker workspace, not a per-query object.
 // Reset() returns it to the pre-Init state in O(|S|) without releasing any
-// storage — the node-keyed indexes are epoch-versioned (core/node_index.h)
-// and the row arena keeps its capacity with the bump pointer rewound — so
-// steady-state queries perform no allocation and no hashing on the hot
-// membership checks when the accessor advertises DenseIndexHint().
+// storage — the visited index clears only the entries it holds
+// (core/node_index.h) and the row arena keeps its capacity with the bump
+// pointer rewound — so steady-state queries perform no allocation and no
+// hashing on the hot membership checks when the accessor advertises
+// DenseIndexHint().
 
 #ifndef FLOS_CORE_LOCAL_GRAPH_H_
 #define FLOS_CORE_LOCAL_GRAPH_H_
@@ -70,7 +73,7 @@ struct LocalRow {
 /// distances. The neighbor lists are stored flat — node i's list is
 /// neighbor_list[neighbor_offsets[i], neighbor_offsets[i + 1]) — so a
 /// snapshot costs a handful of allocations however large S is. The
-/// epoch-keyed visited index (global_to_local) is NOT stored;
+/// visited index (global_to_local) is NOT stored;
 /// RestoreSnapshot rebuilds it from the visit order.
 struct LocalGraphSnapshot {
   NodeId query = kInvalidNode;
@@ -102,8 +105,8 @@ struct LocalGraphSnapshot {
 class LocalGraph {
  public:
   /// `accessor` must outlive the LocalGraph. Allocates the visited-set
-  /// index sized to the accessor's hint (dense stamp arrays for in-memory
-  /// graphs, open-addressing hashing for disk graphs).
+  /// index sized to the accessor's hint (a dense bitmap plus value array
+  /// for in-memory graphs, open-addressing hashing for disk graphs).
   explicit LocalGraph(GraphAccessor* accessor);
 
   LocalGraph(const LocalGraph&) = delete;

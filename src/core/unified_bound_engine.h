@@ -291,7 +291,7 @@ class UnifiedBoundEngine {
   std::vector<double> next_lo_;
   std::vector<double> next_hi_;
   /// ComputeOutsideUppers' per-call accumulator over delta-S-bar: the
-  /// epoch-reset index maps a frontier node to its slot in outside_acc_.
+  /// per-call-reset index maps a frontier node to its slot in outside_acc_.
   struct OutsideAcc {
     double degree;
     double mass;  ///< sum over visited neighbors u of p_vu

@@ -47,7 +47,26 @@ Result<std::unique_ptr<DiskGraph>> DiskGraph::Open(
   g->max_weighted_degree_ = header.max_weighted_degree;
   g->adjacency_offset_ = header.adjacency_offset;
 
+  // Validate the header against the file before sizing anything by it, so
+  // a hostile node count cannot force a huge allocation: node ids are u32,
+  // the index arrays sit between the header and the adjacency region, and
+  // the file must hold them.
   const uint64_t n = g->num_nodes_;
+  if (n >= kInvalidNode) {
+    return Status::Corruption("node count out of range in " + path);
+  }
+  if (g->adjacency_offset_ != sizeof(DiskHeader) + (n + 1) * sizeof(uint64_t) +
+                                  n * sizeof(double) + n * sizeof(uint32_t)) {
+    return Status::Corruption("adjacency offset mismatch in " + path);
+  }
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    return Status::IoError("seek failed sizing " + path);
+  }
+  const long file_bytes = std::ftell(f);
+  if (file_bytes < 0 ||
+      static_cast<uint64_t>(file_bytes) < g->adjacency_offset_) {
+    return Status::Corruption("index arrays truncated in " + path);
+  }
   g->offsets_.resize(n + 1);
   g->degrees_.resize(n);
   g->degree_order_.resize(n);
@@ -60,12 +79,21 @@ Result<std::unique_ptr<DiskGraph>> DiskGraph::Open(
   pos += n * sizeof(double);
   FLOS_RETURN_IF_ERROR(ReadExact(f, pos, g->degree_order_.data(),
                                  n * sizeof(uint32_t), "degree order"));
-  pos += n * sizeof(uint32_t);
-  if (pos != g->adjacency_offset_) {
-    return Status::Corruption("adjacency offset mismatch in " + path);
+  // Every later read trusts these arrays: CopyNeighbors sizes its read by
+  // offset differences, and the degree order indexes degrees_.
+  if (g->offsets_.front() != 0) {
+    return Status::Corruption("first adjacency offset is not 0 in " + path);
+  }
+  if (!std::is_sorted(g->offsets_.begin(), g->offsets_.end())) {
+    return Status::Corruption("adjacency offsets decrease in " + path);
   }
   if (g->offsets_.back() != g->num_directed_edges_) {
     return Status::Corruption("edge count mismatch in " + path);
+  }
+  for (const NodeId v : g->degree_order_) {
+    if (v >= n) {
+      return Status::Corruption("degree order entry out of range in " + path);
+    }
   }
   return g;
 }
@@ -139,6 +167,10 @@ Status DiskGraph::CopyNeighbors(NodeId u, std::vector<Neighbor>* out) {
     Neighbor nb;
     std::memcpy(&nb.id, entry, sizeof(uint32_t));
     std::memcpy(&nb.weight, entry + sizeof(uint32_t), sizeof(double));
+    // A bad id would flow into degree reads (degrees_[id]) and visits.
+    if (nb.id >= num_nodes_) {
+      return Status::Corruption("neighbor id out of range in adjacency");
+    }
     out->push_back(nb);
   }
   return Status::OK();

@@ -128,5 +128,65 @@ TEST(ExpansionPolicyTest, PoliciesProduceDifferentSchedules) {
       << "the two policies visited identical node counts on every query";
 }
 
+// The frontier is expanded in a total order: priority descending, then
+// local id ascending. A star of identical hubs makes every unexpanded hub
+// tie EXACTLY (their rows reach only the query, and their unvisited leaves
+// have equal degrees), so with one expansion per bound update and a
+// max_visited cutoff after m hub expansions, the visited leaves show which
+// hubs went first: the m with the smallest local ids. Local ids follow
+// visit order, and the hubs join in the query's sorted neighbor list, so
+// hub h has local id h. More than 16 ties, so an unordered sort or heap
+// would scramble them.
+TEST(ExpansionPolicyTest, TiedPrioritiesExpandInLocalIdOrder) {
+  constexpr NodeId kHubs = 24;
+  const auto leaf = [](NodeId hub, NodeId which) {
+    return kHubs + 1 + 2 * (hub - 1) + which;
+  };
+  GraphBuilder builder;
+  for (NodeId hub = 1; hub <= kHubs; ++hub) {
+    FLOS_ASSERT_OK(builder.AddEdge(0, hub, 1.0));
+    FLOS_ASSERT_OK(builder.AddEdge(hub, leaf(hub, 0), 1.0));
+    FLOS_ASSERT_OK(builder.AddEdge(hub, leaf(hub, 1), 1.0));
+  }
+  const Graph graph = ValueOrDie(std::move(builder).Build());
+
+  for (NodeId expanded = 0; expanded + 4 < kHubs; ++expanded) {
+    FlosOptions options;
+    options.measure = Measure::kPhp;
+    options.expansion_batch = 1;
+    options.max_visited = 1 + kHubs + 2 * expanded;  // query + hubs + leaves
+    const FlosResult result = ValueOrDie(FlosTopK(graph, 0, 1000, options));
+    ASSERT_FALSE(result.stats.exact);
+    ASSERT_EQ(result.stats.visited_nodes, options.max_visited);
+
+    std::vector<const ScoredNode*> hub_bounds(kHubs + 1, nullptr);
+    std::vector<bool> leaf_visited(graph.NumNodes(), false);
+    for (const ScoredNode& node : result.topk) {
+      if (node.node <= kHubs) {
+        hub_bounds[node.node] = &node;
+      } else {
+        leaf_visited[node.node] = true;
+      }
+    }
+    // The tie the next expansion faces: every unexpanded hub has the same
+    // bounds bit for bit, hence the same priority under either policy.
+    for (NodeId hub = expanded + 1; hub <= kHubs; ++hub) {
+      ASSERT_NE(hub_bounds[hub], nullptr) << "hub " << hub;
+      EXPECT_EQ(hub_bounds[hub]->lower, hub_bounds[expanded + 1]->lower)
+          << "hub " << hub << " after " << expanded << " expansions";
+      EXPECT_EQ(hub_bounds[hub]->upper, hub_bounds[expanded + 1]->upper)
+          << "hub " << hub << " after " << expanded << " expansions";
+    }
+    // The hubs expanded so far are exactly the first `expanded` by id.
+    for (NodeId hub = 1; hub <= kHubs; ++hub) {
+      const bool want = hub <= expanded;
+      EXPECT_EQ(leaf_visited[leaf(hub, 0)], want)
+          << "hub " << hub << " after " << expanded << " expansions";
+      EXPECT_EQ(leaf_visited[leaf(hub, 1)], want)
+          << "hub " << hub << " after " << expanded << " expansions";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace flos

@@ -232,5 +232,92 @@ TEST(DiskGraphTest, DetectsCorruption) {
   std::remove(truncated.c_str());
 }
 
+// Writes the paper graph to `name`, then overwrites `bytes` at `offset`.
+std::string CorruptedCopy(const std::string& name, uint64_t offset,
+                          const void* bytes, size_t size) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(WriteDiskGraph(PaperExampleGraph(), path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  if (f == nullptr) {
+    ADD_FAILURE() << "cannot reopen " << path;
+    return path;
+  }
+  EXPECT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  EXPECT_EQ(std::fwrite(bytes, 1, size, f), size);
+  std::fclose(f);
+  return path;
+}
+
+// Byte offsets of the index arrays (storage/disk_format.h) for n nodes.
+uint64_t OffsetsAt(uint64_t i) { return sizeof(DiskHeader) + i * 8; }
+uint64_t DegreeOrderAt(uint64_t n, uint64_t i) {
+  return sizeof(DiskHeader) + (n + 1) * 8 + n * 8 + i * 4;
+}
+uint64_t AdjacencyAt(uint64_t n, uint64_t entry) {
+  return DegreeOrderAt(n, n) + entry * kAdjacencyEntryBytes;
+}
+
+TEST(DiskGraphTest, RejectsNonMonotoneOffsets) {
+  // offsets[2] below offsets[1]: node 1's entry count would underflow.
+  const uint64_t one = 1;
+  const std::string path =
+      CorruptedCopy("non_monotone.flos", OffsetsAt(2), &one, sizeof(one));
+  const auto disk = DiskGraph::Open(path, DiskGraphOptions{});
+  ASSERT_FALSE(disk.ok());
+  EXPECT_EQ(disk.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+TEST(DiskGraphTest, RejectsDegreeOrderEntryOutOfRange) {
+  const uint64_t n = PaperExampleGraph().NumNodes();
+  const uint32_t bad = static_cast<uint32_t>(n);
+  const std::string path = CorruptedCopy(
+      "bad_degree_order.flos", DegreeOrderAt(n, 3), &bad, sizeof(bad));
+  const auto disk = DiskGraph::Open(path, DiskGraphOptions{});
+  ASSERT_FALSE(disk.ok());
+  EXPECT_EQ(disk.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+TEST(DiskGraphTest, RejectsHeaderSizedBeyondTheFile) {
+  // Node counts the file cannot hold must fail before anything is sized by
+  // them: one past the u32 id space, and the largest valid count with a
+  // matching adjacency offset in a file of a few hundred bytes.
+  for (const uint64_t n : {uint64_t{1} << 40, uint64_t{0xFFFFFFFE}}) {
+    DiskHeader header{};
+    std::memcpy(header.magic, kDiskGraphMagic, sizeof(kDiskGraphMagic));
+    header.num_nodes = n;
+    header.adjacency_offset = DegreeOrderAt(n, n);
+    const std::string path =
+        CorruptedCopy("huge_header.flos", 0, &header, sizeof(header));
+    const auto disk = DiskGraph::Open(path, DiskGraphOptions{});
+    ASSERT_FALSE(disk.ok()) << n;
+    EXPECT_EQ(disk.status().code(), StatusCode::kCorruption) << n;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(DiskGraphTest, RejectsNeighborIdOutOfRange) {
+  const Graph g = PaperExampleGraph();
+  const uint64_t n = g.NumNodes();
+  // Node 1's first adjacency entry names node n, one past the last. Open
+  // cannot see it (adjacency stays on disk); the decode must. Unchecked,
+  // a query from node 0 visits node 1 and the next coefficient refresh
+  // reads the degree of "node n" out of bounds.
+  const uint32_t bad = static_cast<uint32_t>(n);
+  const std::string path = CorruptedCopy(
+      "bad_neighbor.flos", AdjacencyAt(n, g.offsets()[1]), &bad, sizeof(bad));
+  auto disk = ValueOrDie(DiskGraph::Open(path, DiskGraphOptions{}));
+  const auto result = FlosTopK(disk.get(), 0, 3, FlosOptions{});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  std::vector<Neighbor> nbs;
+  FLOS_EXPECT_OK(disk->CopyNeighbors(0, &nbs));
+  const Status fetch = disk->CopyNeighbors(1, &nbs);
+  ASSERT_FALSE(fetch.ok());
+  EXPECT_EQ(fetch.code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace flos
