@@ -9,20 +9,17 @@
 // matching-node fraction lands closest to each target is used, with the
 // achieved selectivity reported next to the target — a Zipf universe
 // cannot hit round numbers exactly, and pretending otherwise would make
-// the rows incomparable. Each combination runs TWO closed loops of
-// --connections client threads for --duration-s each: a to-proof pass
-// (deadline 0; its QPS and exact order-statistic latency percentiles over
-// raw client-side samples price certified filtered search itself) and an
-// anytime pass under --anytime-deadline-us (its certified ratio is the
-// fraction of proofs that finish inside the budget). Query nodes are
-// uniform (no key skew) and both server caches are disabled, so every row
-// prices the search — not the cache, which would otherwise replay the
-// to-proof pass's certified answers into the anytime pass. An unfiltered
-// baseline row runs first under the identical setup. Everything is
-// written to --json (BENCH_filtered.json).
+// the rows incomparable. Each combination runs one closed loop of
+// --connections client threads for --duration-s, every query to a
+// certified answer (deadline 0): its QPS and exact order-statistic latency
+// percentiles over raw client-side samples price certified filtered
+// search itself. Anytime (deadline-bounded) filtered serving is measured
+// by servebench's filtered_anytime workload. Query nodes are uniform (no
+// key skew) and both server caches are disabled, so every row prices the
+// search, not the cache. An unfiltered baseline row runs first under the
+// identical setup. Everything is written to --json (BENCH_filtered.json).
 //
 //   ./bench/bench_filtered_load --scale=1 --duration-s=3
-//   ./bench/bench_filtered_load --scale=0.05 --anytime-deadline-us=5000
 //   ./bench/bench_filtered_load --measure=rwr --zipf-labels=0.8
 
 #include <algorithm>
@@ -66,7 +63,6 @@ struct Combo {
 
 struct ClientStats {
   uint64_t ok = 0;
-  uint64_t certified = 0;
   uint64_t overloaded = 0;
   uint64_t errors = 0;
   std::vector<uint64_t> latency_us;  ///< raw samples, ok answers only
@@ -102,7 +98,6 @@ void RunClient(const std::string& host, uint16_t port, uint64_t seed,
     }
     if (resp->status == flos::StatusCode::kOk) {
       ++stats->ok;
-      if (resp->certified) ++stats->certified;
       stats->latency_us.push_back(micros);
     } else if (resp->status == flos::StatusCode::kOverloaded) {
       ++stats->overloaded;
@@ -259,7 +254,6 @@ struct RunResult {
   uint64_t overloaded = 0;
   uint64_t errors = 0;
   double qps = 0;
-  double certified_ratio = 0;
   uint64_t p50_us = 0;
   uint64_t p95_us = 0;
   uint64_t p99_us = 0;
@@ -286,11 +280,9 @@ RunResult RunCombo(const flos::Graph& graph, const std::string& host,
           .count();
 
   RunResult out;
-  uint64_t certified = 0;
   std::vector<uint64_t> latency_us;
   for (const ClientStats& s : stats) {
     out.ok += s.ok;
-    certified += s.certified;
     out.overloaded += s.overloaded;
     out.errors += s.errors;
     latency_us.insert(latency_us.end(), s.latency_us.begin(),
@@ -300,10 +292,6 @@ RunResult RunCombo(const flos::Graph& graph, const std::string& host,
   out.qps = elapsed_s > 0
                 ? static_cast<double>(out.ok + out.overloaded) / elapsed_s
                 : 0;
-  out.certified_ratio =
-      out.ok > 0
-          ? static_cast<double>(certified) / static_cast<double>(out.ok)
-          : 0;
   out.p50_us = Percentile(latency_us, 0.50);
   out.p95_us = Percentile(latency_us, 0.95);
   out.p99_us = Percentile(latency_us, 0.99);
@@ -316,7 +304,6 @@ int Run(int argc, char** argv) {
   int64_t workers = 4;
   int64_t connections = 4;
   int64_t duration_s = 3;
-  int64_t anytime_us = 50000;
   int64_t k = 10;
   int64_t num_labels = 500;
   int64_t labels_per_node = 3;
@@ -328,10 +315,7 @@ int Run(int argc, char** argv) {
                   "fraction of the 1M-node RAND preset to generate");
   flags.AddInt("workers", &workers, "server query worker threads");
   flags.AddInt("connections", &connections, "closed-loop client threads");
-  flags.AddInt("duration-s", &duration_s,
-               "measured run length per combo AND mode");
-  flags.AddInt("anytime-deadline-us", &anytime_us,
-               "per-query budget of the anytime pass (0 = skip the pass)");
+  flags.AddInt("duration-s", &duration_s, "measured run length per combo");
   flags.AddInt("k", &k, "neighbors per query");
   flags.AddInt("num-labels", &num_labels, "label universe size");
   flags.AddInt("labels-per-node", &labels_per_node, "labels per node");
@@ -378,28 +362,20 @@ int Run(int argc, char** argv) {
   flos::ServerOptions options;
   options.num_workers = static_cast<int>(workers);
   options.labels = &labels;
-  // Both caches off: query nodes are uniform (no repeat head for the
-  // result cache to serve) and the same predicate runs in both modes —
-  // a cached certified answer from the to-proof pass would masquerade as
-  // an instant certification in the anytime pass.
+  // Both caches off: query nodes are uniform, so there is no repeat head
+  // for the result cache to serve, and the rows price the search alone.
   options.query_cache_capacity = 0;
   options.subgraph_cache_capacity = 0;
   flos::ServiceServer server(&graph, options);
   flos::bench::CheckOk(server.Start());
 
-  std::printf(
-      "%lld connections x %llds per combo and mode, %s, k=%lld, "
-      "%lld workers, anytime budget %lld us\n",
-      static_cast<long long>(connections),
-      static_cast<long long>(duration_s), measure_name.c_str(),
-      static_cast<long long>(k), static_cast<long long>(workers),
-      static_cast<long long>(anytime_us));
+  std::printf("%lld connections x %llds per combo, %s, k=%lld, %lld workers\n",
+              static_cast<long long>(connections),
+              static_cast<long long>(duration_s), measure_name.c_str(),
+              static_cast<long long>(k), static_cast<long long>(workers));
 
-  // Per combo: a to-proof pass (deadline 0; prices certification itself)
-  // and an anytime pass (fixed budget; certified_ratio is the fraction of
-  // proofs that finish inside it).
+  // Per combo: one to-proof pass (deadline 0; prices certification).
   std::vector<RunResult> proof_results;
-  std::vector<RunResult> anytime_results;
   uint64_t total_errors = 0;
   for (const Combo& combo : combos) {
     flos::QueryRequest base;
@@ -410,28 +386,19 @@ int Run(int argc, char** argv) {
     const RunResult proof =
         RunCombo(graph, options.host, server.port(), base, connections,
                  duration_s, static_cast<uint64_t>(seed));
-    RunResult anytime;
-    if (anytime_us > 0) {
-      base.deadline_us = static_cast<uint64_t>(anytime_us);
-      anytime =
-          RunCombo(graph, options.host, server.port(), base, connections,
-                   duration_s, static_cast<uint64_t>(seed) + 500);
-    }
     const double achieved = static_cast<double>(combo.matching_nodes) /
                             static_cast<double>(graph.NumNodes());
     std::printf(
         "%-14s %-22s sel %7.4f%%  proof: qps %7.1f p50 %llu us p99 %llu us"
-        "  anytime: qps %7.1f certified %.3f%s\n",
+        "%s\n",
         combo.name.c_str(),
         combo.predicate.empty() ? "-" : combo.predicate.ToString().c_str(),
         achieved * 100.0, proof.qps,
         static_cast<unsigned long long>(proof.p50_us),
-        static_cast<unsigned long long>(proof.p99_us), anytime.qps,
-        anytime.certified_ratio,
-        proof.errors + anytime.errors > 0 ? "  ERRORS" : "");
-    total_errors += proof.errors + anytime.errors;
+        static_cast<unsigned long long>(proof.p99_us),
+        proof.errors > 0 ? "  ERRORS" : "");
+    total_errors += proof.errors;
     proof_results.push_back(proof);
-    anytime_results.push_back(anytime);
   }
   server.Shutdown();
 
@@ -457,13 +424,10 @@ int Run(int argc, char** argv) {
         "actual_selectivity is the honest number and target_selectivity "
         "only names the row (a target the type cannot reach is dropped -- "
         "equality tops out at its most frequent label set); each combo "
-        "runs twice: a to-proof pass (proof_* fields; every query runs to "
-        "a certified answer, so its qps and latency price exact filtered "
-        "certification) and an anytime pass under anytime_deadline_us "
-        "(anytime_* fields; certified_ratio is the fraction of proofs "
-        "that finished inside the budget -- selective predicates must "
-        "push the boundary bound below the k-th matching score and so "
-        "certify later, which is the expected trend across rows); query "
+        "runs one to-proof pass (proof_* fields; every query runs to a "
+        "certified answer, so its qps and latency price exact filtered "
+        "certification -- selective predicates must push the boundary "
+        "bound below the k-th matching score and so certify later); query "
         "nodes are uniform and both server caches are disabled, so every "
         "row prices the filtered search itself\",\n"
         "    \"graph\": \"%s\",\n"
@@ -473,8 +437,7 @@ int Run(int argc, char** argv) {
         "    \"zipf_labels\": %.2f,\n"
         "    \"workers\": %lld,\n"
         "    \"connections\": %lld,\n"
-        "    \"duration_s_per_combo_and_mode\": %lld,\n"
-        "    \"anytime_deadline_us\": %lld,\n"
+        "    \"duration_s_per_combo\": %lld,\n"
         "    \"k\": %lld,\n"
         "    \"host_cpus\": %d,\n"
         "    \"runs\": [\n",
@@ -482,23 +445,18 @@ int Run(int argc, char** argv) {
         static_cast<long long>(num_labels),
         static_cast<long long>(labels_per_node), zipf_labels,
         static_cast<long long>(workers), static_cast<long long>(connections),
-        static_cast<long long>(duration_s),
-        static_cast<long long>(anytime_us), static_cast<long long>(k),
+        static_cast<long long>(duration_s), static_cast<long long>(k),
         host_cpus);
     for (size_t i = 0; i < combos.size(); ++i) {
       const Combo& c = combos[i];
       const RunResult& p = proof_results[i];
-      const RunResult& a = anytime_results[i];
       std::fprintf(
           f,
           "      {\"name\": \"%s\", \"predicate\": \"%s\", "
           "\"target_selectivity\": %.4f, \"actual_selectivity\": %.6f, "
           "\"matching_nodes\": %llu, \"proof_qps\": %.1f, "
           "\"proof_p50_us\": %llu, \"proof_p95_us\": %llu, "
-          "\"proof_p99_us\": %llu, \"proof_queries_ok\": %llu, "
-          "\"anytime_qps\": %.1f, \"certified_ratio\": %.4f, "
-          "\"anytime_p50_us\": %llu, \"anytime_p99_us\": %llu, "
-          "\"anytime_queries_ok\": %llu}%s\n",
+          "\"proof_p99_us\": %llu, \"proof_queries_ok\": %llu}%s\n",
           c.name.c_str(),
           c.predicate.empty() ? "none" : c.predicate.ToString().c_str(),
           c.target_selectivity,
@@ -508,10 +466,7 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(p.p50_us),
           static_cast<unsigned long long>(p.p95_us),
           static_cast<unsigned long long>(p.p99_us),
-          static_cast<unsigned long long>(p.ok), a.qps, a.certified_ratio,
-          static_cast<unsigned long long>(a.p50_us),
-          static_cast<unsigned long long>(a.p99_us),
-          static_cast<unsigned long long>(a.ok),
+          static_cast<unsigned long long>(p.ok),
           i + 1 < combos.size() ? "," : "");
     }
     std::fprintf(f,

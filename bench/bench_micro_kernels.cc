@@ -1,15 +1,15 @@
 // Google-benchmark microbenchmarks for the kernels the figure-level
 // results are built from: CSR neighbor scans, one global-iteration sweep,
-// the bound-sweep kernel in both layouts (legacy AoS rows with separate
-// Jacobi lower/upper passes vs. the flat SoA local CSR with one fused
-// Gauss–Seidel pass), a FLoS expansion + bound update step, full queries,
-// and disk reads.
+// the fused Gauss–Seidel bound sweep over the flat SoA local CSR (plain,
+// audited, and through each SweepBackend), a FLoS expansion + bound update
+// step, full queries, and disk reads.
 //
-// After the google-benchmark run, the binary self-times the bound-sweep
-// comparison and full-query throughput at k=20 on the RAND and R-MAT
-// presets and writes `BENCH_kernels.json` (ns/row-sweep,
-// iterations-to-converge, QPS) so future PRs have a perf trajectory to
-// compare against. Pass --no-kernel-json to skip the JSON pass.
+// After the google-benchmark run, the binary self-times the bound sweeps
+// (per backend and block-parallel) and full-query throughput at k=20 on
+// the RAND and R-MAT presets and writes `BENCH_kernels.json`
+// (ns/row-sweep, iterations-to-converge, QPS) so future changes have a
+// perf trajectory to compare against. Pass --no-kernel-json to skip the
+// JSON pass.
 
 #include <benchmark/benchmark.h>
 
@@ -91,11 +91,9 @@ const Graph& BigGraph() {
 }
 
 // ---------------------------------------------------------------------------
-// Bound-sweep kernel fixture: a frozen visited subgraph S with the PHP-form
-// boundary coefficients, materialized BOTH ways — the flat SoA local CSR
-// (live in the LocalGraph) and a copy in the pre-refactor layout (one
-// heap-allocated AoS pair-vector per row) — so the two sweep kernels run
-// over identical data.
+// Bound-sweep kernel fixture: a frozen visited subgraph S (the flat SoA
+// local CSR, live in the LocalGraph) with the PHP-form boundary
+// coefficients, so every sweep variant runs over identical data.
 struct SweepFixture {
   SweepFixture(const Graph& g, uint32_t target_nodes, uint64_t seed) {
     accessor = std::make_unique<InMemoryAccessor>(&g);
@@ -122,15 +120,9 @@ struct SweepFixture {
     mesh_dummy_coeff.assign(n, 0.0);
     plain_dummy_coeff.assign(n, 0.0);
     hidden_coeff.assign(n, 0.0);
-    legacy_rows.resize(n);
     row_entries = 0;
     for (LocalId i = 0; i < n; ++i) {
-      const LocalRow row = local->Row(i);
-      row_entries += row.len;
-      legacy_rows[i].clear();
-      for (uint32_t e = 0; e < row.len; ++e) {
-        legacy_rows[i].emplace_back(row.idx[e], row.weight[e]);
-      }
+      row_entries += local->Row(i).len;
       if (local->IsQueryLocal(i) || !local->IsBoundary(i)) continue;
       const double wi = local->WeightedDegree(i);
       if (wi <= 0) continue;
@@ -147,49 +139,12 @@ struct SweepFixture {
       self_coeff[i] = kAlpha * kAlpha * loop_mass;
       mesh_dummy_coeff[i] = kAlpha * kAlpha * (out_mass - loop_mass);
     }
-    scratch.resize(n);
   }
 
   void ResetBounds() {
     std::fill(lower.begin(), lower.end(), 0.0);
     std::fill(upper.begin(), upper.end(), 1.0);
     lower[0] = 1.0;
-  }
-
-  // One legacy bound update: separate lower and upper Jacobi passes over
-  // the AoS rows, each through a double buffer (the pre-refactor kernel).
-  double LegacyJacobiSweep() {
-    const uint32_t n = static_cast<uint32_t>(lower.size());
-    double delta = 0;
-    for (LocalId i = 0; i < n; ++i) {
-      if (i == 0) {
-        scratch[i] = 1.0;
-        continue;
-      }
-      double sum = 0;
-      for (const auto& [j, p] : legacy_rows[i]) sum += p * lower[j];
-      const double v = std::max(kAlpha * sum + self_coeff[i] * lower[i],
-                                lower[i]);
-      delta = std::max(delta, v - lower[i]);
-      scratch[i] = v;
-    }
-    lower.swap(scratch);
-    for (LocalId i = 0; i < n; ++i) {
-      if (i == 0) {
-        scratch[i] = 1.0;
-        continue;
-      }
-      double sum = 0;
-      for (const auto& [j, p] : legacy_rows[i]) sum += p * upper[j];
-      double v = kAlpha * sum + plain_dummy_coeff[i] * 1.0;
-      v = std::min(v, kAlpha * sum + self_coeff[i] * upper[i] +
-                          mesh_dummy_coeff[i] * 1.0);
-      v = std::min(v, upper[i]);
-      delta = std::max(delta, upper[i] - v);
-      scratch[i] = v;
-    }
-    upper.swap(scratch);
-    return delta;
   }
 
   // One fused bound update: a single scan of the flat SoA CSR computes
@@ -301,10 +256,8 @@ struct SweepFixture {
   std::vector<double> pair_bounds;
   std::unique_ptr<InMemoryAccessor> accessor;
   std::unique_ptr<LocalGraph> local;
-  std::vector<std::vector<std::pair<LocalId, double>>> legacy_rows;
   std::vector<double> lower;
   std::vector<double> upper;
-  std::vector<double> scratch;
   std::vector<double> self_coeff;
   std::vector<double> mesh_dummy_coeff;
   std::vector<double> plain_dummy_coeff;
@@ -354,19 +307,6 @@ void BM_GlobalIterationSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.NumDirectedEdges());
 }
 BENCHMARK(BM_GlobalIterationSweep);
-
-void BM_BoundSweepLegacyAoSJacobi(benchmark::State& state) {
-  // The pre-refactor inner kernel: per-row heap vectors of AoS pairs,
-  // lower and upper solved by separate double-buffered Jacobi passes.
-  SweepFixture& f = SharedFixture();
-  f.ResetBounds();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.LegacyJacobiSweep());
-  }
-  state.SetItemsProcessed(state.iterations() * f.row_entries);
-  state.counters["visited"] = static_cast<double>(f.lower.size());
-}
-BENCHMARK(BM_BoundSweepLegacyAoSJacobi);
 
 void BM_BoundSweepFlatSoAFusedGS(benchmark::State& state) {
   // The current kernel: one scan of the flat SoA local CSR per iteration
@@ -513,24 +453,15 @@ BENCHMARK(BM_DiskNeighborFetch);
 // BENCH_kernels.json: a machine-readable perf baseline for the bound-sweep
 // kernel and end-to-end queries, emitted after the google-benchmark run.
 
-enum class SweepKind { kLegacyJacobi, kFusedGs, kFusedGsAudited };
+enum class SweepKind { kFusedGs, kFusedGsAudited };
 
 double TimeSweeps(SweepFixture* f, SweepKind kind, int sweeps) {
   f->ResetBounds();
   WallTimer timer;
   double sink = 0;
   for (int s = 0; s < sweeps; ++s) {
-    switch (kind) {
-      case SweepKind::kLegacyJacobi:
-        sink += f->LegacyJacobiSweep();
-        break;
-      case SweepKind::kFusedGs:
-        sink += f->FusedGsSweep();
-        break;
-      case SweepKind::kFusedGsAudited:
-        sink += f->AuditedFusedGsSweep();
-        break;
-    }
+    sink += kind == SweepKind::kFusedGs ? f->FusedGsSweep()
+                                        : f->AuditedFusedGsSweep();
   }
   const double ns = timer.ElapsedSeconds() * 1e9 / sweeps;
   benchmark::DoNotOptimize(sink);
@@ -604,11 +535,11 @@ ParallelPoint TimeParallelSweeps(int threads, int sweeps) {
   return p;
 }
 
-uint32_t SweepsToConverge(SweepFixture* f, bool fused, double tolerance) {
+uint32_t SweepsToConverge(SweepFixture* f, double tolerance) {
   f->ResetBounds();
   uint32_t sweeps = 0;
   while (sweeps < 10000) {
-    const double delta = fused ? f->FusedGsSweep() : f->LegacyJacobiSweep();
+    const double delta = f->FusedGsSweep();
     ++sweeps;
     if (delta < tolerance) break;
   }
@@ -620,11 +551,6 @@ struct QueryPoint {
   double qps = 0;
   double avg_ms = 0;
   double avg_visited = 0;
-  // Per-phase breakdown (FlosStats timers), averaged per query: frontier
-  // ranking + expansion fetches, bound solves, termination + assembly.
-  double expand_ms = 0;
-  double solve_ms = 0;
-  double select_ms = 0;
 };
 
 QueryPoint TimeQueries(const Graph& g, const std::string& name, int k,
@@ -640,15 +566,11 @@ QueryPoint TimeQueries(const Graph& g, const std::string& name, int k,
     if (g.Degree(q) > 0) queries.push_back(q);
   }
   uint64_t visited = 0;
-  uint64_t expand_ns = 0, solve_ns = 0, select_ns = 0;
   WallTimer timer;
   for (const NodeId q : queries) {
     const auto r = engine.TopK(q, k, options);
     if (!r.ok()) std::abort();
     visited += r.value().stats.visited_nodes;
-    expand_ns += r.value().stats.expand_ns;
-    solve_ns += r.value().stats.solve_ns;
-    select_ns += r.value().stats.select_ns;
   }
   const double secs = timer.ElapsedSeconds();
   QueryPoint point;
@@ -656,9 +578,6 @@ QueryPoint TimeQueries(const Graph& g, const std::string& name, int k,
   point.qps = num_queries / secs;
   point.avg_ms = secs * 1e3 / num_queries;
   point.avg_visited = static_cast<double>(visited) / num_queries;
-  point.expand_ms = static_cast<double>(expand_ns) * 1e-6 / num_queries;
-  point.solve_ms = static_cast<double>(solve_ns) * 1e-6 / num_queries;
-  point.select_ms = static_cast<double>(select_ns) * 1e-6 / num_queries;
   return point;
 }
 
@@ -666,7 +585,6 @@ void EmitKernelBaseline(const char* path) {
   SweepFixture& f = SharedFixture();
   // Warm the caches, then time each kernel over enough sweeps to settle.
   TimeSweeps(&f, SweepKind::kFusedGs, 50);
-  const double legacy_ns = TimeSweeps(&f, SweepKind::kLegacyJacobi, 400);
   const double fused_ns = TimeSweeps(&f, SweepKind::kFusedGs, 400);
   const double audited_ns = TimeSweeps(&f, SweepKind::kFusedGsAudited, 400);
   // The SweepBackend seam over the pair-interleaved layout: the scalar
@@ -685,8 +603,7 @@ void EmitKernelBaseline(const char* path) {
     avx2_ns = TimeBackendSweeps(&f, avx2_backend.get(), 400);
   }
   const double tol = 1e-8;
-  const uint32_t jacobi_iters = SweepsToConverge(&f, /*fused=*/false, tol);
-  const uint32_t gs_iters = SweepsToConverge(&f, /*fused=*/true, tol);
+  const uint32_t gs_iters = SweepsToConverge(&f, tol);
   const ParallelPoint par = TimeParallelSweeps(/*threads=*/4, /*sweeps=*/200);
   const QueryPoint rand_point = TimeQueries(RandGraph(), "RAND", 20, 200);
   const QueryPoint rmat_point = TimeQueries(TestGraph(), "RMAT", 20, 200);
@@ -701,15 +618,12 @@ void EmitKernelBaseline(const char* path) {
   std::fprintf(out, "    \"visited_nodes\": %zu,\n", f.lower.size());
   std::fprintf(out, "    \"row_entries\": %llu,\n",
                static_cast<unsigned long long>(f.row_entries));
-  std::fprintf(out, "    \"legacy_aos_jacobi_ns_per_sweep\": %.1f,\n",
-               legacy_ns);
   std::fprintf(out, "    \"flat_soa_fused_gs_ns_per_sweep\": %.1f,\n",
                fused_ns);
   std::fprintf(out, "    \"fused_gs_audited_ns_per_sweep\": %.1f,\n",
                audited_ns);
-  std::fprintf(out, "    \"audit_overhead_ratio\": %.3f,\n",
+  std::fprintf(out, "    \"audit_overhead_ratio\": %.3f\n",
                audited_ns / fused_ns);
-  std::fprintf(out, "    \"speedup\": %.3f\n", legacy_ns / fused_ns);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"sweep_backend\": {\n");
   std::fprintf(out, "    \"scalar_pair_ns_per_sweep\": %.1f,\n",
@@ -756,7 +670,6 @@ void EmitKernelBaseline(const char* path) {
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"iterations_to_converge\": {\n");
   std::fprintf(out, "    \"tolerance\": %g,\n", tol);
-  std::fprintf(out, "    \"jacobi\": %u,\n", jacobi_iters);
   std::fprintf(out, "    \"gauss_seidel\": %u\n", gs_iters);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"full_query_k20_php\": [\n");
@@ -764,27 +677,24 @@ void EmitKernelBaseline(const char* path) {
   for (int i = 0; i < 2; ++i) {
     std::fprintf(out,
                  "    {\"graph\": \"%s\", \"qps\": %.1f, \"avg_ms\": %.4f, "
-                 "\"avg_visited\": %.1f, \"expand_ms\": %.4f, "
-                 "\"solve_ms\": %.4f, \"select_ms\": %.4f}%s\n",
+                 "\"avg_visited\": %.1f}%s\n",
                  points[i]->graph.c_str(), points[i]->qps, points[i]->avg_ms,
-                 points[i]->avg_visited, points[i]->expand_ms,
-                 points[i]->solve_ms, points[i]->select_ms,
-                 i == 0 ? "," : "");
+                 points[i]->avg_visited, i == 0 ? "," : "");
   }
   std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
-  std::printf("kernel baseline written to %s (sweep speedup %.2fx, "
-              "audit overhead %.2fx, simd speedup %.2fx, parallel sweep "
-              "%.2fx scalar / %.2fx avx2 @%d threads, iters %u -> %u, "
-              "RAND %.0f qps, RMAT %.0f qps)\n",
-              path, legacy_ns / fused_ns, audited_ns / fused_ns,
+  std::printf("kernel baseline written to %s (audit overhead %.2fx, "
+              "simd speedup %.2fx, parallel sweep %.2fx scalar / %.2fx avx2 "
+              "@%d threads, %u sweeps to converge, RAND %.0f qps, RMAT %.0f "
+              "qps)\n",
+              path, audited_ns / fused_ns,
               avx2_ns > 0 ? fused_ns / avx2_ns : 0.0,
               par.scalar_serial_ns / par.scalar_parallel_ns,
               par.avx2_parallel_ns > 0
                   ? par.avx2_serial_ns / par.avx2_parallel_ns
                   : 0.0,
-              par.threads, jacobi_iters, gs_iters, rand_point.qps,
+              par.threads, gs_iters, rand_point.qps,
               rmat_point.qps);
 }
 

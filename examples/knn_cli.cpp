@@ -8,8 +8,8 @@
 //
 // Positional arguments are query node ids. Without any, a few random
 // queries are run. With --batch-file (one node id per line, '#' comments),
-// the whole batch is answered via the thread-pooled BatchTopK engine and
-// --threads workers; results print in input order.
+// --threads workers answer the whole batch, each leasing a warm FlosEngine
+// from an EngineSessionPool; results print in input order.
 
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_topk.h"
+#include "batch_runner.h"
 #include "core/flos.h"
 #include "core/predicate.h"
 #include "graph/edge_list_io.h"
@@ -205,8 +205,8 @@ int Run(int argc, char** argv) {
     }
     const std::vector<flos::NodeId> queries = std::move(batch).value();
     flos::WallTimer timer;
-    auto results = flos::BatchTopK(graph, queries, static_cast<int>(k),
-                                   options, static_cast<int>(threads));
+    auto results = flos::cli::RunBatch(graph, queries, static_cast<int>(k),
+                                       options, static_cast<int>(threads));
     if (!results.ok()) {
       std::fprintf(stderr, "batch: %s\n", results.status().ToString().c_str());
       return 1;

@@ -9,7 +9,8 @@ namespace flos {
 // The search itself lives in FlosEngine (core/flos_engine.h), which keeps
 // a reusable per-worker workspace. These wrappers preserve the original
 // one-shot API by running each call through a throwaway engine; services
-// answering many queries should hold a FlosEngine (or use BatchTopK).
+// answering many queries should hold a FlosEngine (or an
+// EngineSessionPool of them).
 
 Result<FlosResult> FlosTopKSet(GraphAccessor* accessor,
                                const std::vector<NodeId>& queries, int k,

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/expansion_policy.h"
 #include "core/predicate.h"
 #include "core/sweep_kernel.h"
 #include "graph/accessor.h"
@@ -59,10 +58,6 @@ struct FlosOptions {
   /// the search may visit slightly more nodes in exchange for far fewer
   /// O(edges(S)) bound solves. The ablation bench quantifies the trade.
   uint32_t expansion_batch = 0;
-  /// How the boundary is ranked for expansion (core/expansion_policy.h).
-  /// Exactness holds under ANY schedule; policies only trade how many
-  /// nodes are visited before certification.
-  ExpansionPolicyKind expansion_policy = ExpansionPolicyKind::kBestFirst;
   /// Which kernel implementation runs the fixed-point inner solves
   /// (core/sweep_kernel.h). kAuto picks the AVX2 blocked-ELL backend when
   /// the CPU supports it, the scalar reference kernel otherwise.
@@ -169,8 +164,9 @@ struct FlosResult {
 ///
 /// One-shot convenience: each call builds and tears down the whole query
 /// workspace. Services answering many queries should hold a `FlosEngine`
-/// (core/flos_engine.h), which reuses the workspace across queries, or use
-/// `BatchTopK` (core/batch_topk.h) to fan a query batch across threads.
+/// (core/flos_engine.h), which reuses the workspace across queries, or
+/// lease engines from an `EngineSessionPool` (service/session_pool.h) to
+/// fan a query batch across threads.
 Result<FlosResult> FlosTopK(GraphAccessor* accessor, NodeId query, int k,
                             const FlosOptions& options);
 

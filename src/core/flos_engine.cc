@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/expansion_policy.h"
 #include "core/measure_traits.h"
 #include "util/check.h"
 
@@ -224,14 +223,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
 
   selected_.clear();  // current certified-or-not top-k
 
-  // Expansion-policy context: the certification threshold of the most
-  // recent termination check feeds the next frontier ranking (the
-  // bound-gap policy scores nodes by how much they block that proof).
-  const ExpansionPolicy* const policy =
-      GetExpansionPolicy(options.expansion_policy);
-  ExpansionContext policy_context;
-  policy_context.minimize = minimize;
-
   // Termination check (Algorithm 6 + the RWR extension). Fills `selected_`
   // with the current top-k interior candidates either way. Filtered
   // queries rank MATCHING interior nodes only; non-matching visited nodes
@@ -265,8 +256,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
       threshold = minimize ? std::max(threshold, c.rank_upper)
                            : std::min(threshold, c.rank_lower);
     }
-    policy_context.has_threshold = true;
-    policy_context.threshold = threshold;
     // Opponents: every other candidate's optimistic value, plus the whole
     // boundary's (filtered or not — see the lambda comment above).
     double best_other = minimize ? 1e300 : -1e300;
@@ -368,11 +357,10 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     phase_lap(&stats.select_ns);
   }
   while (!certified) {
-    // Rank the boundary by the expansion policy (Algorithm 3 is the
-    // best-first default); at t=1 the only boundary node is the query.
-    // Nodes past expandable_limit stay boundary forever: their bounds keep
-    // competing in the termination check, but expanding them is unsound on
-    // a shard (their adjacency may be halo-truncated).
+    // Rank the boundary best-first (Algorithm 3); at t=1 the only boundary
+    // node is the query. Nodes past expandable_limit stay boundary forever:
+    // their bounds keep competing in the termination check, but expanding
+    // them is unsound on a shard (their adjacency may be halo-truncated).
     frontier_.clear();
     bool clipped = false;
     for (LocalId i = 0; i < local_.Size(); ++i) {
@@ -382,10 +370,11 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
         clipped = true;
         continue;
       }
-      const double priority =
-          policy->Priority(rank_of(i, bounds_.lower(i)),
-                           rank_of(i, bounds_.upper(i)), policy_context);
-      frontier_.push_back({priority, i});
+      // Priority = the rank interval's midpoint; for minimize measures a
+      // smaller midpoint means closer, so negate.
+      const double mid = 0.5 * (rank_of(i, bounds_.lower(i)) +
+                                rank_of(i, bounds_.upper(i)));
+      frontier_.push_back({minimize ? -mid : mid, i});
     }
     if (frontier_.empty()) {
       if (clipped) {
@@ -412,7 +401,9 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     }
     // Only a handful of the boundary gets expanded per outer iteration, so
     // select from a heap instead of sorting it all. The order is total:
-    // priority descending, then local id ascending (expansion_policy.h).
+    // priority descending, then local id (visit order) ascending. Equal
+    // priorities are common on symmetric neighborhoods; the tie-break keeps
+    // the schedule, and so every visit count, independent of the heap.
     const auto expands_later = [](const auto& a, const auto& b) {
       return a.first != b.first ? a.first < b.first : a.second > b.second;
     };

@@ -13,7 +13,8 @@
 // thread-compatible, not thread-safe. Concurrent serving uses one engine
 // (with its own accessor) per thread over one shared immutable graph — see
 // the GraphAccessor thread-safety contract (graph/accessor.h) and
-// `BatchTopK` (core/batch_topk.h), which implements exactly that pattern.
+// `EngineSessionPool` (service/session_pool.h), which implements exactly
+// that pattern.
 // The optional QueryCache is the one shared piece and is itself
 // thread-safe.
 //

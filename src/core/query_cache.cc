@@ -7,28 +7,23 @@
 namespace flos {
 
 size_t QueryCache::KeyHash::operator()(const Key& key) const {
-  // splitmix64-style mix over the key fields; doubles hash by bit pattern
-  // (keys are compared exactly, so -0.0 vs 0.0 costing a miss is fine).
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  const auto mix = [&h](uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-  };
-  mix(key.query);
-  mix(static_cast<uint64_t>(key.measure));
-  mix(static_cast<uint64_t>(key.k));
-  mix(std::bit_cast<uint64_t>(key.c));
-  mix(static_cast<uint64_t>(key.tht_length));
-  mix(key.epoch);
-  mix(key.predicate_fp);
+  // Doubles hash by bit pattern (keys are compared exactly, so -0.0 vs 0.0
+  // costing a miss is fine).
+  uint64_t h = kHashSeed;
+  h = HashMix(h, key.query);
+  h = HashMix(h, static_cast<uint64_t>(key.measure));
+  h = HashMix(h, static_cast<uint64_t>(key.k));
+  h = HashMix(h, std::bit_cast<uint64_t>(key.c));
+  h = HashMix(h, static_cast<uint64_t>(key.tht_length));
+  h = HashMix(h, key.epoch);
+  h = HashMix(h, key.predicate_fp);
   return static_cast<size_t>(h);
 }
 
 bool QueryCache::Lookup(const Key& key, FlosResult* out) {
   MutexLock lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
+  const Entry* entry = lru_.Get(key);
+  if (entry == nullptr) {
     ++misses_;
     return false;
   }
@@ -36,46 +31,31 @@ bool QueryCache::Lookup(const Key& key, FlosResult* out) {
   // built from the CURRENT graph epoch, so its stored epoch must agree.
   // Disagreement means a certified answer from an older topology is about
   // to be served as current — corruption, never a legal state.
-  FLOS_AUDIT(it->second->stored_epoch == key.epoch,
+  FLOS_AUDIT(entry->stored_epoch == key.epoch,
              "query cache serving a stale graph epoch");
-  entries_.splice(entries_.begin(), entries_, it->second);
-  *out = it->second->result;
+  *out = entry->result;
   out->stats.cache_hit = true;
   ++hits_;
   return true;
 }
 
 void QueryCache::Insert(const Key& key, const FlosResult& result) {
-  if (capacity_ == 0) return;
   // Only certified answers are facts independent of how the query ran.
   if (!result.stats.exact) return;
   FLOS_DCHECK(!result.stats.deadline_expired,
               "certified result flagged deadline_expired");
   MutexLock lock(mu_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->result = result;
-    it->second->stored_epoch = key.epoch;
-    entries_.splice(entries_.begin(), entries_, it->second);
-    return;
-  }
-  entries_.push_front(Entry{key, key.epoch, result});
-  index_[key] = entries_.begin();
-  while (entries_.size() > capacity_) {
-    index_.erase(entries_.back().key);
-    entries_.pop_back();
-  }
+  lru_.Put(key, Entry{key.epoch, result});
 }
 
 void QueryCache::Clear() {
   MutexLock lock(mu_);
-  entries_.clear();
-  index_.clear();
+  lru_.Clear();
 }
 
 size_t QueryCache::size() const {
   MutexLock lock(mu_);
-  return entries_.size();
+  return lru_.size();
 }
 
 uint64_t QueryCache::hits() const {
@@ -90,9 +70,9 @@ uint64_t QueryCache::misses() const {
 
 bool QueryCache::CorruptEpochForTest(const Key& key, uint64_t stored_epoch) {
   MutexLock lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  it->second->stored_epoch = stored_epoch;
+  Entry* entry = lru_.Get(key);
+  if (entry == nullptr) return false;
+  entry->stored_epoch = stored_epoch;
   return true;
 }
 

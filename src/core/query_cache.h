@@ -24,12 +24,12 @@
 // Only certified results (stats.exact) are admitted: uncertified answers
 // depend on the deadline that produced them and are not reusable facts.
 // One cache instance assumes one solver configuration (tolerance,
-// tightenings, expansion policy) — the serving layer's situation, where
-// ServerOptions fixes them; the per-request knobs are all in the key.
+// tightenings) — the serving layer's situation, where ServerOptions fixes
+// them; the per-request knobs are all in the key.
 //
-// Thread-safe: one mutex guards the map + LRU list (a leaf lock in the
-// concurrency contract — see DESIGN.md; the FLOS_GUARDED_BY annotations
-// make the compiler enforce it). The critical section is a hash probe plus
+// Thread-safe: one mutex guards the LRU (util/lru_cache.h; a leaf lock in
+// the concurrency contract — see DESIGN.md; the FLOS_GUARDED_BY
+// annotations make the compiler enforce it). The critical section is a hash probe plus
 // a list splice and a FlosResult copy (k entries), so contention is
 // negligible next to even a warm-path network round trip.
 
@@ -38,12 +38,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "core/flos.h"
 #include "graph/graph.h"
 #include "measures/measure.h"
+#include "util/lru_cache.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -73,7 +72,7 @@ class QueryCache {
 
   /// Keeps at most `capacity` entries (0 disables the cache: every lookup
   /// misses, every insert is dropped).
-  explicit QueryCache(size_t capacity) : capacity_(capacity) {}
+  explicit QueryCache(size_t capacity) : lru_(capacity) {}
 
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
@@ -90,7 +89,6 @@ class QueryCache {
   void Clear() FLOS_EXCLUDES(mu_);
 
   size_t size() const FLOS_EXCLUDES(mu_);
-  size_t capacity() const { return capacity_; }
   uint64_t hits() const FLOS_EXCLUDES(mu_);
   uint64_t misses() const FLOS_EXCLUDES(mu_);
 
@@ -107,18 +105,13 @@ class QueryCache {
     size_t operator()(const Key& key) const;
   };
   struct Entry {
-    Key key;
     /// Redundant copy of key.epoch, audited on every hit.
     uint64_t stored_epoch = 0;
     FlosResult result;
   };
 
-  size_t capacity_;
   mutable Mutex mu_;
-  /// front = most recent
-  std::list<Entry> entries_ FLOS_GUARDED_BY(mu_);
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
-      FLOS_GUARDED_BY(mu_);
+  LruCache<Key, Entry, KeyHash> lru_ FLOS_GUARDED_BY(mu_);
   uint64_t hits_ FLOS_GUARDED_BY(mu_) = 0;
   uint64_t misses_ FLOS_GUARDED_BY(mu_) = 0;
 };

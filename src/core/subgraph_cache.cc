@@ -8,26 +8,21 @@
 namespace flos {
 
 size_t SubgraphCache::KeyHash::operator()(const Key& key) const {
-  // splitmix64-style mix over the key fields; alpha hashes by bit pattern
-  // (keys are compared exactly, so -0.0 vs 0.0 costing a miss is fine).
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  const auto mix = [&h](uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-  };
-  mix(key.seed);
-  mix(static_cast<uint64_t>(key.family));
-  mix(std::bit_cast<uint64_t>(key.alpha));
-  mix(static_cast<uint64_t>(key.horizon));
-  mix(key.epoch);
+  // Alpha hashes by bit pattern (keys are compared exactly, so -0.0 vs 0.0
+  // costing a miss is fine).
+  uint64_t h = kHashSeed;
+  h = HashMix(h, key.seed);
+  h = HashMix(h, static_cast<uint64_t>(key.family));
+  h = HashMix(h, std::bit_cast<uint64_t>(key.alpha));
+  h = HashMix(h, static_cast<uint64_t>(key.horizon));
+  h = HashMix(h, key.epoch);
   return static_cast<size_t>(h);
 }
 
 std::shared_ptr<const SubgraphSnapshot> SubgraphCache::Lookup(const Key& key) {
   MutexLock lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
+  const Entry* entry = lru_.Get(key);
+  if (entry == nullptr) {
     ++misses_;
     return nullptr;
   }
@@ -35,44 +30,30 @@ std::shared_ptr<const SubgraphSnapshot> SubgraphCache::Lookup(const Key& key) {
   // built from the CURRENT graph epoch, so its stored epoch must agree.
   // Disagreement means a subgraph expanded against an older topology is
   // about to seed bounds as current — corruption, never a legal state.
-  FLOS_AUDIT(it->second->stored_epoch == key.epoch,
+  FLOS_AUDIT(entry->stored_epoch == key.epoch,
              "subgraph cache serving a stale graph epoch");
-  entries_.splice(entries_.begin(), entries_, it->second);
   ++hits_;
-  return it->second->snap;
+  return entry->snap;
 }
 
 void SubgraphCache::Insert(const Key& key,
                            std::shared_ptr<const SubgraphSnapshot> snap) {
-  if (capacity_ == 0 || snap == nullptr) return;
+  if (snap == nullptr) return;
   FLOS_DCHECK(snap->bounds.size() ==
                   2 * static_cast<size_t>(snap->local.Size()),
               "snapshot bound vector does not match its visited set");
   MutexLock lock(mu_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->snap = std::move(snap);
-    it->second->stored_epoch = key.epoch;
-    entries_.splice(entries_.begin(), entries_, it->second);
-    return;
-  }
-  entries_.push_front(Entry{key, key.epoch, std::move(snap)});
-  index_[key] = entries_.begin();
-  while (entries_.size() > capacity_) {
-    index_.erase(entries_.back().key);
-    entries_.pop_back();
-  }
+  lru_.Put(key, Entry{key.epoch, std::move(snap)});
 }
 
 void SubgraphCache::Clear() {
   MutexLock lock(mu_);
-  entries_.clear();
-  index_.clear();
+  lru_.Clear();
 }
 
 size_t SubgraphCache::size() const {
   MutexLock lock(mu_);
-  return entries_.size();
+  return lru_.size();
 }
 
 uint64_t SubgraphCache::hits() const {
@@ -87,9 +68,9 @@ uint64_t SubgraphCache::misses() const {
 
 bool SubgraphCache::CorruptEpochForTest(const Key& key, uint64_t stored_epoch) {
   MutexLock lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  it->second->stored_epoch = stored_epoch;
+  Entry* entry = lru_.Get(key);
+  if (entry == nullptr) return false;
+  entry->stored_epoch = stored_epoch;
   return true;
 }
 

@@ -42,7 +42,7 @@
 // Snapshots are immutable once inserted and handed out as
 // shared_ptr<const>, so a reader never blocks an evictor: the LRU can drop
 // an entry while an engine is still restoring from it. Thread-safe: one
-// mutex guards the map + LRU list (a leaf lock in the concurrency
+// mutex guards the LRU (util/lru_cache.h; a leaf lock in the concurrency
 // contract — see DESIGN.md; FLOS_GUARDED_BY makes the compiler enforce
 // it); the critical section is a hash probe plus a shared_ptr copy.
 
@@ -51,14 +51,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/local_graph.h"
 #include "core/measure_traits.h"
 #include "graph/graph.h"
+#include "util/lru_cache.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -106,7 +105,7 @@ class SubgraphCache {
 
   /// Keeps at most `capacity` entries (0 disables the cache: every lookup
   /// misses, every insert is dropped).
-  explicit SubgraphCache(size_t capacity) : capacity_(capacity) {}
+  explicit SubgraphCache(size_t capacity) : lru_(capacity) {}
 
   SubgraphCache(const SubgraphCache&) = delete;
   SubgraphCache& operator=(const SubgraphCache&) = delete;
@@ -124,7 +123,6 @@ class SubgraphCache {
   void Clear() FLOS_EXCLUDES(mu_);
 
   size_t size() const FLOS_EXCLUDES(mu_);
-  size_t capacity() const { return capacity_; }
   uint64_t hits() const FLOS_EXCLUDES(mu_);
   uint64_t misses() const FLOS_EXCLUDES(mu_);
 
@@ -141,18 +139,13 @@ class SubgraphCache {
     size_t operator()(const Key& key) const;
   };
   struct Entry {
-    Key key;
     /// Redundant copy of key.epoch, audited on every hit.
     uint64_t stored_epoch = 0;
     std::shared_ptr<const SubgraphSnapshot> snap;
   };
 
-  size_t capacity_;
   mutable Mutex mu_;
-  /// front = most recent
-  std::list<Entry> entries_ FLOS_GUARDED_BY(mu_);
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
-      FLOS_GUARDED_BY(mu_);
+  LruCache<Key, Entry, KeyHash> lru_ FLOS_GUARDED_BY(mu_);
   uint64_t hits_ FLOS_GUARDED_BY(mu_) = 0;
   uint64_t misses_ FLOS_GUARDED_BY(mu_) = 0;
 };

@@ -46,7 +46,8 @@ struct AccessStats {
 /// must therefore use one accessor instance per thread, all backed by the
 /// same shared graph: construct one `InMemoryAccessor` per thread over one
 /// `const Graph`, or `DiskGraph::Open` the same file once per thread.
-/// `BatchTopK` (core/batch_topk.h) follows exactly this pattern.
+/// `EngineSessionPool` (service/session_pool.h) follows exactly this
+/// pattern.
 class GraphAccessor {
  public:
   virtual ~GraphAccessor() = default;

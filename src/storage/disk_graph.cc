@@ -129,7 +129,7 @@ Status DiskGraph::ReadRange(uint64_t offset, uint64_t bytes,
       const size_t got = std::fread(loaded.data(), 1, block, file_);
       loaded.resize(got);
       stats_.bytes_read += got;
-      cache_.Put(block_id, loaded);
+      cache_.Put(block_id, loaded, got);
       cached = &loaded;
       if (block_start + got < end && got < block) {
         return Status::Corruption("adjacency region truncated");

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "graph/accessor.h"
-#include "storage/lru_cache.h"
+#include "util/lru_cache.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -84,7 +84,8 @@ class DiskGraph final : public GraphAccessor {
   /// decode scratch. Open/~DiskGraph touch file_ pre/post concurrency.
   Mutex io_mu_;
   std::FILE* file_ FLOS_GUARDED_BY(io_mu_) = nullptr;
-  LruBlockCache cache_ FLOS_GUARDED_BY(io_mu_);
+  /// Adjacency blocks by block id, charged in bytes against cache_bytes.
+  LruCache<uint64_t, std::vector<char>> cache_ FLOS_GUARDED_BY(io_mu_);
   std::vector<char> range_scratch_ FLOS_GUARDED_BY(io_mu_);
 };
 

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -43,10 +44,16 @@ Status FlagParser::SetValue(const Flag& flag, const std::string& value) {
   char* end = nullptr;
   switch (flag.type) {
     case Type::kInt: {
+      errno = 0;
       const long long v = std::strtoll(value.c_str(), &end, 10);
       if (end == value.c_str() || *end != '\0') {
         return Status::InvalidArgument("flag --" + flag.name +
                                        ": not an integer: '" + value + "'");
+      }
+      if (errno == ERANGE) {
+        return Status::InvalidArgument("flag --" + flag.name +
+                                       ": integer out of range: '" + value +
+                                       "'");
       }
       *static_cast<int64_t*>(flag.target) = v;
       return Status::OK();

@@ -1,11 +1,10 @@
 // Fixed-size thread pool for fan-out query serving.
 //
 // Deliberately minimal: N long-lived workers draining one mutex-protected
-// FIFO queue. No work stealing, no priorities, no futures — batch top-k
-// serving submits coarse per-thread loops (each worker pulls query indices
-// from a shared atomic counter), so a simple queue is never the
-// bottleneck. Tasks must not throw; the library is exception-free
-// (Status/Result), and a throwing task would terminate.
+// FIFO queue. No work stealing, no priorities, no futures — the callers
+// submit coarse tasks (whole queries, or one row block of a sweep), so a
+// simple queue is never the bottleneck. Tasks must not throw; the library
+// is exception-free (Status/Result), and a throwing task would terminate.
 
 #ifndef FLOS_UTIL_THREAD_POOL_H_
 #define FLOS_UTIL_THREAD_POOL_H_

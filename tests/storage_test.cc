@@ -13,8 +13,8 @@
 #include "storage/disk_builder.h"
 #include "storage/disk_format.h"
 #include "storage/disk_graph.h"
-#include "storage/lru_cache.h"
 #include "tests/test_util.h"
+#include "util/lru_cache.h"
 
 namespace flos {
 namespace {
@@ -27,49 +27,52 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-TEST(LruBlockCacheTest, EvictsLeastRecentlyUsed) {
-  LruBlockCache cache(10);
-  cache.Put(1, std::vector<char>(4, 'a'));
-  cache.Put(2, std::vector<char>(4, 'b'));
+// DiskGraph's block cache: the LRU template charged in bytes.
+using BlockCache = LruCache<uint64_t, std::vector<char>>;
+
+TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
+  BlockCache cache(10);
+  cache.Put(1, std::vector<char>(4, 'a'), 4);
+  cache.Put(2, std::vector<char>(4, 'b'), 4);
   ASSERT_NE(cache.Get(1), nullptr);  // touch 1 -> 2 becomes LRU
-  cache.Put(3, std::vector<char>(4, 'c'));
+  cache.Put(3, std::vector<char>(4, 'c'), 4);
   EXPECT_EQ(cache.Get(2), nullptr) << "block 2 should have been evicted";
   EXPECT_NE(cache.Get(1), nullptr);
   EXPECT_NE(cache.Get(3), nullptr);
-  EXPECT_LE(cache.used_bytes(), 10u);
+  EXPECT_LE(cache.charge(), 10u);
 }
 
-TEST(LruBlockCacheTest, EvictionFollowsTheFullTouchOrder) {
+TEST(LruCacheTest, EvictionFollowsTheFullTouchOrder) {
   // Four 4-byte blocks in a 16-byte budget; every Get reshuffles recency.
-  LruBlockCache cache(16);
+  BlockCache cache(16);
   for (uint64_t id = 1; id <= 4; ++id) {
-    cache.Put(id, std::vector<char>(4, static_cast<char>('a' + id)));
+    cache.Put(id, std::vector<char>(4, static_cast<char>('a' + id)), 4);
   }
-  EXPECT_EQ(cache.num_blocks(), 4u);
+  EXPECT_EQ(cache.size(), 4u);
   // After touching 3, 1, 4, 2 the recency order is (oldest) 3 1 4 2.
   ASSERT_NE(cache.Get(3), nullptr);
   ASSERT_NE(cache.Get(1), nullptr);
   ASSERT_NE(cache.Get(4), nullptr);
   ASSERT_NE(cache.Get(2), nullptr);
-  cache.Put(5, std::vector<char>(4, 'e'));  // evicts 3
+  cache.Put(5, std::vector<char>(4, 'e'), 4);  // evicts 3
   EXPECT_EQ(cache.Get(3), nullptr);
   EXPECT_NE(cache.Get(1), nullptr);  // 1 freshened again
-  cache.Put(6, std::vector<char>(4, 'f'));  // evicts 4 (1 was re-touched)
+  cache.Put(6, std::vector<char>(4, 'f'), 4);  // evicts 4 (1 was re-touched)
   EXPECT_EQ(cache.Get(4), nullptr);
   EXPECT_NE(cache.Get(1), nullptr);
   EXPECT_NE(cache.Get(2), nullptr);
   EXPECT_NE(cache.Get(5), nullptr);
   EXPECT_NE(cache.Get(6), nullptr);
-  EXPECT_LE(cache.used_bytes(), 16u);
-  EXPECT_EQ(cache.num_blocks(), 4u);
+  EXPECT_LE(cache.charge(), 16u);
+  EXPECT_EQ(cache.size(), 4u);
 }
 
-TEST(LruBlockCacheTest, ReinsertingAKeyReplacesItsBytes) {
-  LruBlockCache cache(64);
-  cache.Put(1, std::vector<char>(8, 'a'));
-  cache.Put(1, std::vector<char>(16, 'b'));
-  EXPECT_EQ(cache.num_blocks(), 1u);
-  EXPECT_EQ(cache.used_bytes(), 16u)
+TEST(LruCacheTest, ReinsertingAKeyReplacesItsBytes) {
+  BlockCache cache(64);
+  cache.Put(1, std::vector<char>(8, 'a'), 8);
+  cache.Put(1, std::vector<char>(16, 'b'), 16);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.charge(), 16u)
       << "the old block's bytes must not leak into the budget";
   const std::vector<char>* block = cache.Get(1);
   ASSERT_NE(block, nullptr);
@@ -77,11 +80,11 @@ TEST(LruBlockCacheTest, ReinsertingAKeyReplacesItsBytes) {
   EXPECT_EQ((*block)[0], 'b');
 }
 
-TEST(LruBlockCacheTest, OversizedBlockIsNotCached) {
-  LruBlockCache cache(4);
-  cache.Put(1, std::vector<char>(16, 'x'));
+TEST(LruCacheTest, OversizedBlockIsNotCached) {
+  BlockCache cache(4);
+  cache.Put(1, std::vector<char>(16, 'x'), 16);
   EXPECT_EQ(cache.Get(1), nullptr);
-  EXPECT_EQ(cache.used_bytes(), 0u);
+  EXPECT_EQ(cache.charge(), 0u);
 }
 
 TEST(DiskGraphTest, RoundTripsExactly) {

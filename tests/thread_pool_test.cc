@@ -1,6 +1,7 @@
-// ThreadPool lifecycle coverage: graceful-shutdown drain semantics and
-// Submit-after-Shutdown rejection. Runs under the TSAN CI job, which is
-// where ordering bugs in the queue/shutdown handshake would surface.
+// ThreadPool lifecycle coverage: graceful-shutdown drain semantics,
+// Submit-after-Shutdown rejection, reuse after Wait, and thread-count
+// clamping. Runs under the TSAN CI job, which is where ordering bugs in
+// the queue/shutdown handshake would surface.
 
 #include "util/thread_pool.h"
 
@@ -78,6 +79,40 @@ TEST(ThreadPoolTest, DestructorAfterShutdownIsSafe) {
   FLOS_ASSERT_OK(pool->Submit([] {}));
   pool->Shutdown();
   pool.reset();  // ~ThreadPool calls Shutdown again; must be a no-op
+}
+
+TEST(ThreadPoolTest, WaitThenSubmitMoreWorks) {
+  ThreadPool pool(2);
+  std::atomic<int> count{0};
+  FLOS_ASSERT_OK(pool.Submit([&count] { count.fetch_add(1); }));
+  pool.Wait();
+  EXPECT_EQ(count.load(), 1);
+  for (int i = 0; i < 10; ++i) {
+    FLOS_ASSERT_OK(pool.Submit([&count] { count.fetch_add(1); }));
+  }
+  pool.Wait();
+  EXPECT_EQ(count.load(), 11);
+}
+
+TEST(ThreadPoolTest, DestructorDrainsQueue) {
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(1);
+    for (int i = 0; i < 20; ++i) {
+      FLOS_ASSERT_OK(pool.Submit([&count] { count.fetch_add(1); }));
+    }
+    // No Wait(): the destructor must still run every queued task.
+  }
+  EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPoolTest, ClampsNonPositiveThreadCounts) {
+  ThreadPool pool(0);  // must not deadlock or crash
+  std::atomic<int> count{0};
+  FLOS_ASSERT_OK(pool.Submit([&count] { count.fetch_add(1); }));
+  pool.Wait();
+  EXPECT_EQ(count.load(), 1);
+  EXPECT_GE(ThreadPool::DefaultNumThreads(), 1);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Unit tests for the utility substrate: Status/Result, Rng, FlagParser,
-// TablePrinter.
+// TablePrinter, and the LRU template's entry-count use.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "tests/test_util.h"
 #include "util/flags.h"
+#include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/table_printer.h"
@@ -147,6 +149,28 @@ TEST(FlagParserTest, RejectsUnknownAndMalformed) {
   }
 }
 
+// strtoll saturates at INT64_MAX / INT64_MIN on overflow; the parser must
+// reject the value instead of silently clamping it.
+TEST(FlagParserTest, RejectsOutOfRangePositiveInteger) {
+  FlagParser flags;
+  int64_t k = 1;
+  flags.AddInt("k", &k, "k");
+  const char* argv[] = {"prog", "--k=99999999999999999999"};
+  const Status status = flags.Parse(2, const_cast<char**>(argv));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(k, 1) << "a rejected value must leave the flag untouched";
+}
+
+TEST(FlagParserTest, RejectsOutOfRangeNegativeInteger) {
+  FlagParser flags;
+  int64_t k = 1;
+  flags.AddInt("k", &k, "k");
+  const char* argv[] = {"prog", "--k=-99999999999999999999"};
+  const Status status = flags.Parse(2, const_cast<char**>(argv));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(k, 1) << "a rejected value must leave the flag untouched";
+}
+
 TEST(TablePrinterTest, FormatsDoubles) {
   EXPECT_EQ(TablePrinter::FormatDouble(0.5), "0.5");
   EXPECT_EQ(TablePrinter::FormatDouble(1234.5678, 6), "1234.57");
@@ -172,6 +196,49 @@ TEST(TablePrinterTest, AlignedMode) {
   t.Print(mem);
   std::fclose(mem);
   EXPECT_STREQ(buf, "long-header  x\na            y\n");
+}
+
+// The query and subgraph caches charge 1 per entry, so the capacity is an
+// entry count and the charge is the number of cached entries. (The byte-
+// charged block-cache use is tested in storage_test.)
+TEST(LruCacheTest, UnitChargeCountsEntries) {
+  LruCache<int, std::string> cache(3);
+  cache.Put(1, "a");
+  cache.Put(2, "b");
+  cache.Put(3, "c");
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.charge(), 3u);
+  ASSERT_NE(cache.Get(1), nullptr);  // 2 becomes least recent
+  cache.Put(4, "d");
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.charge(), 3u);
+  EXPECT_EQ(cache.Get(2), nullptr);
+  ASSERT_NE(cache.Get(1), nullptr);
+  EXPECT_EQ(*cache.Get(1), "a");
+  EXPECT_EQ(*cache.Get(4), "d");
+}
+
+TEST(LruCacheTest, ZeroCapacityCachesNothing) {
+  LruCache<int, std::string> cache(0);
+  cache.Put(1, "a");
+  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.charge(), 0u);
+}
+
+TEST(LruCacheTest, ClearDropsEveryEntryAndItsCharge) {
+  LruCache<int, std::string> cache(8);
+  cache.Put(1, "a", 3);
+  cache.Put(2, "b", 4);
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.charge(), 0u);
+  EXPECT_EQ(cache.Get(1), nullptr);
+  EXPECT_EQ(cache.Get(2), nullptr);
+  // The full budget is available again.
+  cache.Put(3, "c", 8);
+  EXPECT_NE(cache.Get(3), nullptr);
+  EXPECT_EQ(cache.charge(), 8u);
 }
 
 }  // namespace
