@@ -124,17 +124,10 @@ struct SweepFixture {
     for (LocalId i = 0; i < n; ++i) {
       row_entries += local->Row(i).len;
       if (local->IsQueryLocal(i) || !local->IsBoundary(i)) continue;
-      const double wi = local->WeightedDegree(i);
-      if (wi <= 0) continue;
-      double out_mass = 0;
-      double loop_mass = 0;
-      for (const Neighbor& nb : local->Neighbors(i)) {
-        if (local->Contains(nb.id)) continue;
-        const double p_iv = nb.weight / wi;
-        out_mass += p_iv;
-        const double wv = local->ProbeDegree(nb.id);
-        if (wv > 0) loop_mass += p_iv * (nb.weight / wv);
-      }
+      // The engine's own mass definitions (UnifiedBoundEngine reads the
+      // same two maintained values), so the kernels see its coefficients.
+      const double out_mass = local->OutMass(i);
+      const double loop_mass = local->LoopMass(i);
       plain_dummy_coeff[i] = kAlpha * out_mass;
       self_coeff[i] = kAlpha * kAlpha * loop_mass;
       mesh_dummy_coeff[i] = kAlpha * kAlpha * (out_mass - loop_mass);

@@ -2,7 +2,7 @@
 """Paired A/B runs of the serving benchmark: a base commit against this checkout.
 
     python3 scripts/servebench_pairs.py --base <ref> --workload uniform_cold \\
-        --pairs 10 --seed0 301 [--seconds 30]
+        --pairs 10 --seed0 301 [--seconds 30] [--expect-diff NAME ...]
 
 The base is checked out into a temporary `git worktree` (removed on exit);
 `--base-dir <checkout>` uses an existing checkout of the base instead, so
@@ -14,6 +14,8 @@ Steps:
   1. One traced run (`--trace 1`, seed `seed0`) per side, printed layer
      by layer with the head/base ratio. The search-count metrics
      `replay.*` must be identical: a pure speed change does not move them.
+     `--expect-diff replay.NAME` (repeatable) declares one counter the
+     change is meant to move; it is printed with its head/base ratio.
   2. `--pairs` untraced pairs; pair i uses seed `seed0 + i` on both sides,
      and the side that runs first alternates from pair to pair.
   3. Per end-to-end metric: median and quartiles of each side, the ratio
@@ -21,7 +23,7 @@ Steps:
      (direction from BENCHMARK.json), then every pair's values.
      peak_rss_mb comes from the context line and is reported, not judged.
 
-Exits 1 if the replay counts differ, or if any run is not `correct` or
+Exits 1 if an undeclared replay count differs, or if any run is not `correct` or
 reports failed operations; timings never fail the script.
 """
 
@@ -96,7 +98,7 @@ def compare(base_dir, args):
     print(f"traced run ({args.workload}, seed {args.seed0}, one per side):")
     for name in sorted(set(base_t) | set(head_t)):
         b, h = base_t.get(name), head_t.get(name)
-        if name.startswith("replay."):
+        if name.startswith("replay.") and name not in args.expect_diff:
             verdict = "same" if b == h else "DIFF"
             if b != h:
                 problems.append(f"{name} differs")
@@ -160,9 +162,16 @@ def main():
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed0", type=int, required=True)
     parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--expect-diff", action="append", default=[],
+                        metavar="NAME",
+                        help="a replay.* counter allowed to differ "
+                             "(repeatable)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    for name in args.expect_diff:
+        if not name.startswith("replay."):
+            parser.error(f"--expect-diff {name}: not a replay.* counter")
 
     if args.base_dir:
         return compare(os.path.abspath(args.base_dir), args)

@@ -124,7 +124,7 @@ struct ScoredNode {
 /// Per-query search statistics.
 struct FlosStats {
   uint64_t visited_nodes = 0;   ///< |S| = neighbor-list fetches
-  uint64_t expansions = 0;      ///< outer iterations (Algorithm 2)
+  uint64_t expansions = 0;      ///< boundary nodes expanded (Expand calls)
   uint64_t inner_iterations = 0;///< total Algorithm-7 sweeps
   bool exact = false;           ///< true iff the top-k was certified
   bool exhausted_component = false;  ///< visited the query's whole component

@@ -39,6 +39,9 @@ void LocalGraph::Reset() {
   row_len_.clear();
   row_cap_.clear();
   row_in_mass_.clear();
+  visible_mass_.clear();
+  two_step_return_.clear();
+  in_loop_mass_.clear();
   dirty_.clear();
   dirty_out_.clear();
   in_dirty_.clear();
@@ -172,6 +175,9 @@ Status LocalGraph::Add(NodeId global) {
   weighted_degree_.push_back(wi);
   hidden_mass_.push_back(hidden);
   if (hidden > 0) truncated_seen_ = true;
+  visible_mass_.push_back(visible);
+  two_step_return_.push_back(accessor_->TwoStepReturn(global, scratch_));
+  in_loop_mass_.push_back(0.0);
 
   // New empty row; its first append carves a slab off the arena tail.
   row_start_.push_back(arena_used_);
@@ -193,11 +199,17 @@ Status LocalGraph::Add(NodeId global) {
       ++outside;
       continue;
     }
-    if (wi > 0) RowAppend(local, j, nb.weight / wi);
+    const double wj = weighted_degree_[j];
+    const double p_ij = wi > 0 ? nb.weight / wi : 0.0;
+    const double p_ji = wj > 0 ? nb.weight / wj : 0.0;
+    if (wi > 0) RowAppend(local, j, p_ij);
     // Reverse direction: j gains an in-S neighbor.
-    if (weighted_degree_[j] > 0) {
-      RowAppend(j, local, nb.weight / weighted_degree_[j]);
-    }
+    if (wj > 0) RowAppend(j, local, p_ji);
+    // p_ij * p_ji is the two-step loop through this edge seen from either
+    // end, and bitwise the term TwoStepReturn added for it to R_local and
+    // R_j, so LoopMass subtracts exactly what R holds.
+    in_loop_mass_[local] += p_ij * p_ji;
+    in_loop_mass_[j] += p_ij * p_ji;
     if (--outside_count_[j] == 0) --boundary_count_;
     if (!in_dirty_[j]) {
       in_dirty_[j] = true;
@@ -323,6 +335,9 @@ void LocalGraph::SaveSnapshot(LocalGraphSnapshot* out) const {
   out->row_len = row_len_;
   out->row_cap = row_cap_;
   out->row_in_mass = row_in_mass_;
+  out->visible_mass = visible_mass_;
+  out->two_step_return = two_step_return_;
+  out->in_loop_mass = in_loop_mass_;
   out->hop_dist = hop_dist_;
 }
 
@@ -358,6 +373,9 @@ void LocalGraph::RestoreSnapshot(const LocalGraphSnapshot& snap) {
   row_len_ = snap.row_len;
   row_cap_ = snap.row_cap;
   row_in_mass_ = snap.row_in_mass;
+  visible_mass_ = snap.visible_mass;
+  two_step_return_ = snap.two_step_return;
+  in_loop_mass_ = snap.in_loop_mass;
   hop_dist_ = snap.hop_dist;
   // Rebuild the visited index: visit order reproduces the dense local ids.
   for (LocalId i = 0; i < n; ++i) {

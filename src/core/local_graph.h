@@ -9,8 +9,9 @@
 // A node "joins S" when its neighbor list is fetched through the
 // GraphAccessor; the number of fetches equals |S|, matching the paper's
 // "number of visited nodes". Joining costs one neighbor fetch, one degree
-// read and one visited-index probe per neighbor — nothing is recorded for
-// the unvisited neighbors themselves. On in-memory graphs the visited index
+// read, one two-step-return read (GraphAccessor::TwoStepReturn) and one
+// visited-index probe per neighbor — nothing is recorded for the
+// unvisited neighbors themselves. On in-memory graphs the visited index
 // is a presence bitmap (core/node_index.h), so the usual probe, a miss on
 // an unvisited neighbor, reads one cached bit and no per-node array. The
 // unvisited frontier (delta-S-bar) is not maintained here: the bound engine
@@ -27,6 +28,14 @@
 // node. The bound kernels (core/sweep_kernel.h) stream these arrays
 // directly.
 //
+// Boundary masses without rescans: each node keeps its visible edge mass,
+// its two-step return mass R_i = sum_{v in N(i)} p_iv p_vi, and the in-S
+// part of that sum, accumulated where RowAppend writes both directions of
+// an edge. The bound engine's coefficients then follow from two identities
+// in O(1) per node (OutMass, LoopMass), with no neighbor scan and no
+// degree probe. Both rest on the symmetric-list invariant outside_count_
+// already assumes: j appears in i's fetched list iff i appears in j's.
+//
 // Reuse: a LocalGraph is a per-worker workspace, not a per-query object.
 // Reset() returns it to the pre-Init state in O(|S|) without releasing any
 // storage — the visited index clears only the entries it holds
@@ -38,6 +47,7 @@
 #ifndef FLOS_CORE_LOCAL_GRAPH_H_
 #define FLOS_CORE_LOCAL_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -93,6 +103,9 @@ struct LocalGraphSnapshot {
   std::vector<uint32_t> row_len;
   std::vector<uint32_t> row_cap;
   std::vector<double> row_in_mass;
+  std::vector<double> visible_mass;
+  std::vector<double> two_step_return;
+  std::vector<double> in_loop_mass;
   std::vector<uint32_t> hop_dist;
 
   uint32_t Size() const { return static_cast<uint32_t>(local_to_global.size()); }
@@ -203,6 +216,26 @@ class LocalGraph {
   /// this is set.
   bool HasTruncatedRows() const { return truncated_seen_; }
 
+  /// Transition mass from i to its unvisited neighbors that the fetched
+  /// list reports: sum_{v in N(i) \ S} p_iv = visible_i / w_i - RowInMass(i).
+  /// O(1); clamped at 0 because the difference of two rounded sums can
+  /// land an ulp below it. 0 when w_i = 0. Hidden mass is not included.
+  double OutMass(LocalId local) const {
+    const double wi = weighted_degree_[local];
+    if (wi <= 0) return 0;
+    return std::max(0.0, visible_mass_[local] / wi - row_in_mass_[local]);
+  }
+
+  /// The star-to-mesh loop mass of Lemma 3: sum_{v in N(i) \ S} p_iv p_vi
+  /// = R_i - sum_{j in N(i) cap S} p_ij p_ji, both terms maintained. O(1);
+  /// clamped into [0, OutMass(i)]. Rounding can only move it by an ulp-scale
+  /// amount, and a loop mass below the true one still yields a valid (looser)
+  /// mesh bound.
+  double LoopMass(LocalId local) const {
+    const double loop = two_step_return_[local] - in_loop_mass_[local];
+    return std::clamp(loop, 0.0, OutMass(local));
+  }
+
   /// Full neighbor list of visited node i (global ids), as fetched.
   const std::vector<Neighbor>& Neighbors(LocalId local) const {
     return neighbors_[local];
@@ -210,8 +243,8 @@ class LocalGraph {
 
   /// Weighted degree of an arbitrary (possibly unvisited) node, read
   /// straight from the accessor (every accessor serves it as one array
-  /// read). Used by the self-loop tightening and the frontier uppers, which
-  /// need degrees of unvisited boundary nodes.
+  /// read). Used by the frontier uppers, which need degrees of unvisited
+  /// frontier nodes.
   double ProbeDegree(NodeId global) {
     return accessor_->WeightedDegree(global);
   }
@@ -302,6 +335,11 @@ class LocalGraph {
   std::vector<uint32_t> row_len_;
   std::vector<uint32_t> row_cap_;
   std::vector<double> row_in_mass_;
+
+  // Boundary-mass bookkeeping (OutMass, LoopMass), one entry per node.
+  std::vector<double> visible_mass_;     ///< sum of the fetched weights
+  std::vector<double> two_step_return_;  ///< R_i over the fetched list
+  std::vector<double> in_loop_mass_;     ///< sum_{j in N(i) cap S} p_ij p_ji
 
   std::vector<Neighbor> scratch_;
   std::vector<NodeId> expand_scratch_;   // unvisited neighbors in Expand

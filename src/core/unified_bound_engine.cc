@@ -221,10 +221,32 @@ UnifiedBoundEngine::OutsideUppers UnifiedBoundEngine::ComputeOutsideUppers() {
   return out;
 }
 
+void UnifiedBoundEngine::AuditBoundaryMasses(LocalId i) {
+  // Ground truth by the direct definition: scan i's fetched list and probe
+  // every unvisited neighbor's degree. The maintained masses come from
+  // differences of rounded sums, so they agree to rounding, not bitwise.
+  constexpr double kMassSlack = 1e-12;
+  const double wi = local_->WeightedDegree(i);
+  double out_mass = 0;
+  double loop_mass = 0;
+  for (const Neighbor& nb : local_->Neighbors(i)) {
+    if (local_->Contains(nb.id)) continue;
+    const double p_iv = nb.weight / wi;
+    out_mass += p_iv;
+    const double wv = local_->ProbeDegree(nb.id);
+    if (wv > 0) loop_mass += p_iv * (nb.weight / wv);
+  }
+  FLOS_CHECK_LE(std::abs(local_->OutMass(i) - out_mass), kMassSlack,
+                "maintained out mass diverged from a neighbor scan");
+  FLOS_CHECK_LE(std::abs(local_->LoopMass(i) - loop_mass), kMassSlack,
+                "maintained loop mass diverged from a neighbor scan");
+}
+
 void UnifiedBoundEngine::RefreshBoundaryCoefficients() {
   // Incremental: only nodes whose outside-neighbor set changed since the
   // last update (new nodes and neighbors of new nodes) need their
-  // coefficients recomputed.
+  // coefficients recomputed, each in O(1) from LocalGraph's maintained
+  // masses.
   const double alpha = options_.traits.alpha;
   for (const LocalId i : local_->TakeDirtyNodes()) {
     self_coeff_[i] = 0;
@@ -238,23 +260,16 @@ void UnifiedBoundEngine::RefreshBoundaryCoefficients() {
     // redirect to dummy_mesh in both constructions; a node with hidden
     // mass is boundary forever, so this branch is never skipped for it.
     hidden_coeff_[i] = alpha * local_->HiddenMass(i) / wi;
-    double out_mass = 0;        // sum over VISIBLE unvisited nbrs of p_iv
-    double loop_mass = 0;       // sum of p_iv * p_vi
-    for (const Neighbor& nb : local_->Neighbors(i)) {
-      if (local_->Contains(nb.id)) continue;
-      const double p_iv = nb.weight / wi;
-      out_mass += p_iv;
-      if (options_.self_loop_tightening) {
-        const double wv = local_->ProbeDegree(nb.id);
-        if (wv > 0) loop_mass += p_iv * (nb.weight / wv);
-      }
-    }
+    FLOS_AUDIT_SCOPE { AuditBoundaryMasses(i); }
+    // Sum over VISIBLE unvisited neighbors of p_iv.
+    const double out_mass = local_->OutMass(i);
     // Plain construction (Theorem 5): all outside mass to the dummy.
     plain_dummy_coeff_[i] = alpha * out_mass;
     if (options_.self_loop_tightening) {
       // Mesh construction (Lemmas 3/4): p_ii = alpha * loop_mass,
       // p_id = alpha * (out - loop). In the iteration r <- alpha T r + e
       // these appear with one more alpha factor.
+      const double loop_mass = local_->LoopMass(i);
       self_coeff_[i] = alpha * alpha * loop_mass;
       mesh_dummy_coeff_[i] = alpha * alpha * (out_mass - loop_mass);
     }

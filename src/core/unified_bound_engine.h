@@ -79,10 +79,6 @@ struct UnifiedBoundOptions {
   /// unvisited nodes) and the alpha^hop-distance cap. Rigorous; see
   /// CaptureDummyFromBoundary. Off reproduces Algorithm 5 line 7 verbatim.
   bool alpha_dummy_tightening = true;
-  /// Whether to fold the per-frontier-node uppers (ComputeOutsideUppers)
-  /// into the tight dummy each update is part of the traits
-  /// (traits.frontier_dummy; BoundTraitsFor sets it for RWR, whose
-  /// termination needs the frontier bound anyway).
   /// Which sweep-kernel implementation runs the fixed-point hot loop.
   SweepBackendKind backend = SweepBackendKind::kAuto;
   /// Worker team for intra-sweep parallelism (block-Jacobi across
@@ -245,7 +241,15 @@ class UnifiedBoundEngine {
   void AuditNoLooserThanJacobi(const std::vector<double>& prev,
                                bool lower_only) const;
 
+  /// Recomputes the dirty boundary nodes' dummy and self-loop
+  /// coefficients from LocalGraph::OutMass / LoopMass: O(1) per node, no
+  /// neighbor scan, no degree probe.
   void RefreshBoundaryCoefficients();
+
+  /// Audit tier: recomputes boundary node i's out and loop masses by
+  /// scanning its neighbor list and probing every unvisited neighbor's
+  /// degree, and aborts unless the maintained masses match within 1e-12.
+  void AuditBoundaryMasses(LocalId i);
 
   /// The fused Gauss–Seidel solve (fixed point): one backend sweep per
   /// iteration updates both bounds (or only the lower when `lower_only`),

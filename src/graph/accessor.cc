@@ -4,6 +4,16 @@
 
 namespace flos {
 
+double GraphAccessor::TwoStepReturn(NodeId u,
+                                    std::span<const Neighbor> fetched) {
+  const double wu = WeightedDegree(u);
+  double sum = 0;
+  for (const Neighbor& nb : fetched) {
+    sum += (nb.weight / wu) * (nb.weight / WeightedDegree(nb.id));
+  }
+  return sum;
+}
+
 Status InMemoryAccessor::CopyNeighbors(NodeId u, std::vector<Neighbor>* out) {
   if (u >= graph_->NumNodes()) {
     return Status::OutOfRange("node id " + std::to_string(u) +

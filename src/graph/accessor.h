@@ -12,6 +12,7 @@
 #define FLOS_GRAPH_ACCESSOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -65,6 +66,19 @@ class GraphAccessor {
   /// Appends nothing and overwrites `*out` with u's neighbors (sorted by id).
   /// Non-const: implementations count fetches and may touch caches.
   virtual Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) = 0;
+
+  /// Two-step return mass of u over the edges `fetched` lists:
+  ///   R_u = sum over v in fetched of (w_uv / w_u) * (w_uv / w_v),
+  /// with every degree the accessor's WeightedDegree. `fetched` must be
+  /// what CopyNeighbors(u) just returned. LocalGraph reads R_u once per
+  /// join so the self-loop tightening (Lemma 3) never rescans a boundary
+  /// row. The default evaluates the sum term by term in list order, which
+  /// counts 1 + |fetched| degree probes; that is right for disk and
+  /// dynamic graphs, and for a ShardAccessor, whose truncated fringe rows
+  /// make R_u a sum over the visible edges only. An override must return
+  /// the same value over the same list without probing: InMemoryAccessor
+  /// serves the array Graph precomputes at build time.
+  virtual double TwoStepReturn(NodeId u, std::span<const Neighbor> fetched);
 
   /// Hint that u's neighbor list and degree will be read soon. A hint
   /// only: it counts nothing, changes no state visible through this
@@ -137,6 +151,10 @@ class InMemoryAccessor final : public GraphAccessor {
     return graph_->WeightedDegree(u);
   }
   Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) override;
+  double TwoStepReturn(NodeId u, std::span<const Neighbor> fetched) override {
+    (void)fetched;
+    return graph_->TwoStepReturn(u);
+  }
   void Prefetch(NodeId u) override {
     if (u < graph_->NumNodes()) graph_->Prefetch(u);
   }

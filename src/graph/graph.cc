@@ -23,6 +23,19 @@ void Graph::FinalizeDerived() {
     for (uint64_t e = offsets_[u]; e < offsets_[u + 1]; ++e) sum += weights_[e];
     weighted_degree_[u] = sum;
   }
+  // Second pass, once every degree is known. The term is written exactly as
+  // GraphAccessor::TwoStepReturn's default evaluates it, in the same
+  // (CSR) order, so both paths produce the same bits.
+  two_step_return_.assign(n, 0.0);
+  for (uint64_t u = 0; u < n; ++u) {
+    const double wu = weighted_degree_[u];
+    double sum = 0;
+    for (uint64_t e = offsets_[u]; e < offsets_[u + 1]; ++e) {
+      const double w = weights_[e];
+      sum += (w / wu) * (w / weighted_degree_[neighbors_[e]]);
+    }
+    two_step_return_[u] = sum;
+  }
   max_weighted_degree_ =
       weighted_degree_.empty()
           ? 0.0

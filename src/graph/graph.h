@@ -54,6 +54,11 @@ class Graph {
   /// Sum of weights of edges incident to `u` (w_u in the paper).
   double WeightedDegree(NodeId u) const { return weighted_degree_[u]; }
 
+  /// Two-step return mass R_u = sum over neighbors v of p_uv * p_vu, with
+  /// p_uv = w_uv / w_u: the probability that a two-step walk from u is back
+  /// at u. Precomputed at build time; 0 for isolated nodes.
+  double TwoStepReturn(NodeId u) const { return two_step_return_[u]; }
+
   /// Largest weighted degree over all nodes (0 for the empty graph).
   double MaxWeightedDegree() const { return max_weighted_degree_; }
 
@@ -77,11 +82,13 @@ class Graph {
   /// Used by FLoS_RWR to maintain the maximum unvisited degree.
   const std::vector<NodeId>& DegreeOrder() const { return degree_order_; }
 
-  /// Issues CPU read prefetches for u's CSR offset and weighted degree —
-  /// the first loads of a neighbor fetch — so they can overlap other work.
+  /// Issues CPU read prefetches for u's CSR offset, weighted degree and
+  /// two-step return mass — the per-node loads of a neighbor fetch and a
+  /// join — so they can overlap other work.
   void Prefetch(NodeId u) const {
     __builtin_prefetch(offsets_.data() + u, 0, 1);
     __builtin_prefetch(weighted_degree_.data() + u, 0, 1);
+    __builtin_prefetch(two_step_return_.data() + u, 0, 1);
   }
 
   /// Raw CSR arrays, for algorithms that iterate the whole graph.
@@ -101,6 +108,7 @@ class Graph {
   std::vector<NodeId> neighbors_;   // size NumDirectedEdges()
   std::vector<double> weights_;     // size NumDirectedEdges()
   std::vector<double> weighted_degree_;
+  std::vector<double> two_step_return_;
   std::vector<NodeId> degree_order_;
   uint64_t directed_edge_count_ = 0;
   double max_weighted_degree_ = 0;

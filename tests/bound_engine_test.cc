@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/flos.h"
+#include "core/flos_engine.h"
 #include "core/local_graph.h"
 #include "graph/accessor.h"
 #include "measures/exact.h"
@@ -136,6 +137,32 @@ TEST(BoundEngineTest, PaperDummyRuleWhenTighteningOff) {
     EXPECT_LE(h.engine->dummy_value(), prev + 1e-15);
     EXPECT_DOUBLE_EQ(h.engine->tight_dummy_value(), h.engine->dummy_value());
     prev = h.engine->dummy_value();
+  }
+}
+
+TEST(BoundEngineTest, PhpQueryProbesOneDegreePerJoin) {
+  // The coefficient refresh reads LocalGraph's maintained masses, and the
+  // in-memory accessor serves each join's two-step return mass from the
+  // graph's precomputed array: the only degree probe left in a whole PHP
+  // query is the joining node's own. The audit tier re-probes on purpose
+  // (it rechecks the masses with a neighbor scan), so it is not counted.
+  if (kAuditEnabled) GTEST_SKIP() << "the FLOS_AUDIT mass check probes degrees";
+  const Graph g = RandomConnectedGraph(5000, 25000, 21);
+  InMemoryAccessor accessor(&g);
+  FlosEngine engine(&accessor);
+  FlosOptions options;
+  options.measure = Measure::kPhp;
+  for (const NodeId q : {NodeId{1}, NodeId{2500}, NodeId{4999}}) {
+    for (const bool self_loop : {true, false}) {
+      options.self_loop_tightening = self_loop;
+      accessor.ResetStats();
+      const FlosResult result = ValueOrDie(engine.TopK(q, 10, options));
+      EXPECT_TRUE(result.stats.exact);
+      EXPECT_GT(result.stats.visited_nodes, 10u);
+      EXPECT_EQ(accessor.stats().neighbor_fetches, result.stats.visited_nodes);
+      EXPECT_EQ(accessor.stats().degree_probes, result.stats.visited_nodes)
+          << "query " << q << ", self-loop " << self_loop;
+    }
   }
 }
 

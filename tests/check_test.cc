@@ -1,7 +1,8 @@
 // Tests for the invariant-audit layer (util/check.h): failure message
 // format and file:line reporting (death tests), the zero-evaluation
 // guarantee of disabled FLOS_DCHECK/FLOS_AUDIT tiers, and proof that the
-// bound-sandwich audit actually fires on deliberately corrupted bounds.
+// bound-sandwich and boundary-mass audits actually fire on deliberately
+// corrupted state.
 
 #include "util/check.h"
 
@@ -155,6 +156,25 @@ TEST(BoundAuditDeathTest, CorruptionIsCaughtOnLaterSolvesToo) {
         }
       },
       "sandwich violated");
+}
+
+TEST(BoundAuditDeathTest, CorruptedBoundaryMassAborts) {
+  CorruptionHarness h;
+  // Corrupt one boundary node's maintained two-step return mass through a
+  // snapshot round trip (RestoreSnapshot trusts the snapshot's arrays);
+  // the next coefficient refresh rechecks it against a neighbor scan.
+  LocalGraphSnapshot snap;
+  h.local->SaveSnapshot(&snap);
+  LocalId victim = 1;
+  while (!h.local->IsBoundary(victim)) ++victim;
+  snap.two_step_return[victim] += 0.25;
+  h.local->Reset();
+  h.local->RestoreSnapshot(snap);
+  UnifiedBoundOptions be;
+  be.traits.alpha = 0.5;
+  h.engine->Reset(be);
+  EXPECT_DEATH(h.engine->UpdateBounds(),
+               "maintained loop mass diverged from a neighbor scan");
 }
 
 #else

@@ -10,7 +10,33 @@
 namespace flos {
 namespace {
 
+using testing::SpreadWeightGraph;
 using testing::ValueOrDie;
+
+/// Forwards the pure virtuals to an InMemoryAccessor but inherits the
+/// default TwoStepReturn, which probes degrees through this accessor.
+class DefaultTwoStepAccessor final : public GraphAccessor {
+ public:
+  explicit DefaultTwoStepAccessor(const Graph* g) : inner_(g) {}
+  uint64_t NumNodes() const override { return inner_.NumNodes(); }
+  uint64_t NumEdges() const override { return inner_.NumEdges(); }
+  double WeightedDegree(NodeId u) override {
+    ++stats_.degree_probes;
+    return inner_.WeightedDegree(u);
+  }
+  Status CopyNeighbors(NodeId u, std::vector<Neighbor>* out) override {
+    return inner_.CopyNeighbors(u, out);
+  }
+  const std::vector<NodeId>& DegreeOrder() const override {
+    return inner_.DegreeOrder();
+  }
+  double MaxWeightedDegree() const override {
+    return inner_.MaxWeightedDegree();
+  }
+
+ private:
+  InMemoryAccessor inner_;
+};
 
 TEST(GraphBuilderTest, BuildsSymmetricCsr) {
   GraphBuilder builder;
@@ -143,6 +169,38 @@ TEST(InMemoryAccessorTest, MatchesGraphAndCountsStats) {
   EXPECT_FALSE(accessor.CopyNeighbors(99, &nbs).ok());
   accessor.ResetStats();
   EXPECT_EQ(accessor.stats().neighbor_fetches, 0u);
+}
+
+TEST(GraphTest, TwoStepReturnMatchesBruteForce) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const Graph g = SpreadWeightGraph(300, 900, seed, /*hub_degree=*/100);
+    InMemoryAccessor in_memory(&g);
+    DefaultTwoStepAccessor probing(&g);
+    std::vector<Neighbor> nbs;
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      // Brute force from the definition, looking every weight up by edge.
+      double brute = 0;
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        const double w = g.EdgeWeight(u, v);
+        if (w > 0) {
+          brute += w / g.WeightedDegree(u) * g.EdgeWeight(v, u) /
+                   g.WeightedDegree(v);
+        }
+      }
+      EXPECT_NEAR(g.TwoStepReturn(u), brute, 1e-12) << "node " << u;
+      if (g.Degree(u) == 0) {
+        EXPECT_EQ(g.TwoStepReturn(u), 0.0) << "isolated node " << u;
+      }
+      // Both accessor paths return the precomputed bits; only the default
+      // one probes, once for u and once per neighbor.
+      FLOS_ASSERT_OK(in_memory.CopyNeighbors(u, &nbs));
+      EXPECT_EQ(in_memory.TwoStepReturn(u, nbs), g.TwoStepReturn(u));
+      probing.ResetStats();
+      EXPECT_EQ(probing.TwoStepReturn(u, nbs), g.TwoStepReturn(u));
+      EXPECT_EQ(probing.stats().degree_probes, 1u + nbs.size());
+    }
+    EXPECT_EQ(in_memory.stats().degree_probes, 0u);
+  }
 }
 
 }  // namespace

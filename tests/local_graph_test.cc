@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/accessor.h"
 #include "graph/generators.h"
+#include "graph/partition.h"
+#include "storage/disk_builder.h"
+#include "storage/disk_graph.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -14,7 +19,39 @@ namespace {
 
 using testing::PaperExampleGraph;
 using testing::RandomConnectedGraph;
+using testing::SpreadWeightGraph;
 using testing::ValueOrDie;
+
+/// Checks every visited node's maintained OutMass and LoopMass against a
+/// fresh scan of its fetched list, probing each unvisited neighbor's degree
+/// through `accessor` (the coefficient refresh's former definition).
+void ExpectMassesMatchScan(const LocalGraph& local, GraphAccessor* accessor,
+                           const std::string& where) {
+  for (LocalId i = 0; i < local.Size(); ++i) {
+    const double wi = local.WeightedDegree(i);
+    double out = 0;
+    double loop = 0;
+    for (const Neighbor& nb : local.Neighbors(i)) {
+      if (local.Contains(nb.id)) continue;
+      out += nb.weight / wi;
+      loop += nb.weight / wi * (nb.weight / accessor->WeightedDegree(nb.id));
+    }
+    ASSERT_NEAR(local.OutMass(i), out, 1e-12) << where << ", local " << i;
+    ASSERT_NEAR(local.LoopMass(i), loop, 1e-12) << where << ", local " << i;
+  }
+}
+
+/// Expands every node in visit order (breadth first) until S holds
+/// `target` nodes or nothing is left, checking the masses after each step.
+void ExpandCheckingMasses(LocalGraph& local, GraphAccessor* accessor,
+                          uint32_t target) {
+  ASSERT_NO_FATAL_FAILURE(ExpectMassesMatchScan(local, accessor, "Init"));
+  for (LocalId u = 0; u < local.Size() && local.Size() < target; ++u) {
+    ASSERT_TRUE(local.Expand(u).ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectMassesMatchScan(
+        local, accessor, "after expanding local " + std::to_string(u)));
+  }
+}
 
 TEST(LocalGraphTest, InitAddsQueryOnly) {
   const Graph g = PaperExampleGraph();
@@ -211,6 +248,88 @@ TEST(LocalGraphTest, ExpansionProbesOneDegreePerVisitedNode) {
     }
     EXPECT_GT(local.Size(), 1u);
     EXPECT_EQ(accessor.stats().neighbor_fetches, local.Size());
+  }
+}
+
+TEST(LocalGraphTest, BoundaryMassesMatchScanOnErAndHubGraphs) {
+  GeneratorOptions rand;
+  rand.num_nodes = 2000;
+  rand.num_edges = 10000;
+  rand.seed = 5;
+  const Graph graphs[] = {ValueOrDie(GenerateErdosRenyi(rand)),
+                          SpreadWeightGraph(2000, 6000, 7, /*hub_degree=*/800)};
+  for (const Graph& g : graphs) {
+    InMemoryAccessor accessor(&g);
+    LocalGraph local(&accessor);
+    // Node 0 is the hub of the second graph: the query row is wide from
+    // the start, and every hub neighbor's join subtracts from it.
+    for (const NodeId q : {NodeId{0}, NodeId{17}}) {
+      FLOS_ASSERT_OK(local.Init(q));
+      ASSERT_NO_FATAL_FAILURE(ExpandCheckingMasses(local, &accessor, 600));
+      local.Reset();
+    }
+  }
+}
+
+TEST(LocalGraphTest, BoundaryMassesSurviveSnapshotRoundTrip) {
+  const Graph g = SpreadWeightGraph(1000, 4000, 9, /*hub_degree=*/200);
+  InMemoryAccessor accessor(&g);
+  LocalGraph local(&accessor);
+  FLOS_ASSERT_OK(local.Init(3));
+  for (LocalId u = 0; u < 5; ++u) FLOS_ASSERT_OK(local.Expand(u).status());
+  LocalGraphSnapshot snap;
+  local.SaveSnapshot(&snap);
+  LocalGraph restored(&accessor);
+  restored.RestoreSnapshot(snap);
+  ASSERT_EQ(restored.Size(), local.Size());
+  for (LocalId i = 0; i < local.Size(); ++i) {
+    EXPECT_EQ(restored.OutMass(i), local.OutMass(i));
+    EXPECT_EQ(restored.LoopMass(i), local.LoopMass(i));
+  }
+  // The restored workspace keeps maintaining them as it grows.
+  ASSERT_NO_FATAL_FAILURE(ExpandCheckingMasses(restored, &accessor, 400));
+}
+
+TEST(LocalGraphTest, BoundaryMassesMatchScanOnTruncatedShardRows) {
+  const Graph g = SpreadWeightGraph(600, 1500, 11);
+  PartitionOptions options;
+  options.num_shards = 2;
+  options.halo_hops = 1;
+  const GraphPartition part = ValueOrDie(PartitionGraph(g, options));
+  for (const ShardPart& shard : part.shards) {
+    ShardAccessor accessor(&shard.graph, &shard.meta);
+    LocalGraph local(&accessor);
+    NodeId q = 0;  // a core node with edges
+    while (shard.graph.Degree(q) == 0) ++q;
+    ASSERT_LT(q, shard.meta.num_core);
+    FLOS_ASSERT_OK(local.Init(q));
+    ASSERT_NO_FATAL_FAILURE(ExpandCheckingMasses(local, &accessor, 10000));
+    // Breadth first from a core node reaches the fringe, whose visible
+    // lists sum to less than the global degree.
+    EXPECT_TRUE(local.HasTruncatedRows());
+  }
+}
+
+TEST(LocalGraphTest, BoundaryMassesMatchScanOnDiskGraph) {
+  const Graph g = SpreadWeightGraph(1000, 4000, 13, /*hub_degree=*/200);
+  const std::string path = ::testing::TempDir() + "/local_graph_masses.fdg";
+  FLOS_ASSERT_OK(WriteDiskGraph(g, path));
+  auto disk = ValueOrDie(DiskGraph::Open(path, DiskGraphOptions{}));
+  LocalGraph local(disk.get());
+  FLOS_ASSERT_OK(local.Init(0));
+  ASSERT_NO_FATAL_FAILURE(ExpandCheckingMasses(local, disk.get(), 500));
+  // Through the default TwoStepReturn the masses equal the in-memory ones.
+  InMemoryAccessor accessor(&g);
+  LocalGraph in_memory(&accessor);
+  FLOS_ASSERT_OK(in_memory.Init(0));
+  for (LocalId u = 0; u < in_memory.Size() && in_memory.Size() < local.Size();
+       ++u) {
+    FLOS_ASSERT_OK(in_memory.Expand(u).status());
+  }
+  ASSERT_EQ(in_memory.Size(), local.Size());
+  for (LocalId i = 0; i < local.Size(); ++i) {
+    EXPECT_EQ(in_memory.OutMass(i), local.OutMass(i));
+    EXPECT_EQ(in_memory.LoopMass(i), local.LoopMass(i));
   }
 }
 

@@ -1,8 +1,10 @@
 #include "tests/test_util.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "measures/exact.h"
+#include "util/rng.h"
 
 namespace flos {
 namespace testing {
@@ -34,6 +36,28 @@ Graph RandomConnectedGraph(uint64_t nodes, uint64_t edges, uint64_t seed,
   options.seed = seed;
   options.random_weights = random_weights;
   return ValueOrDie(GenerateConnected(options));
+}
+
+Graph SpreadWeightGraph(uint64_t nodes, uint64_t edges, uint64_t seed,
+                        uint32_t hub_degree) {
+  GraphBuilder::Options options;
+  options.num_nodes = static_cast<int64_t>(nodes + 5);
+  GraphBuilder builder(options);
+  Rng rng(seed);
+  const auto weight = [&rng] {
+    return std::pow(10.0, 6 * rng.NextDouble() - 3);
+  };
+  for (uint64_t e = 0; e < edges; ++e) {
+    const auto u = static_cast<NodeId>(rng.NextBounded(nodes));
+    const auto v = static_cast<NodeId>(rng.NextBounded(nodes));
+    if (u == v) continue;
+    EXPECT_TRUE(builder.AddEdge(u, v, weight()).ok());
+  }
+  for (uint32_t e = 0; e < hub_degree; ++e) {
+    const auto v = static_cast<NodeId>(1 + rng.NextBounded(nodes - 1));
+    EXPECT_TRUE(builder.AddEdge(0, v, weight()).ok());
+  }
+  return ValueOrDie(std::move(builder).Build());
 }
 
 void ExpectTopKMatchesScores(const std::vector<NodeId>& returned,

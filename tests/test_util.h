@@ -51,6 +51,13 @@ Graph PaperPathGraph();
 Graph RandomConnectedGraph(uint64_t nodes, uint64_t edges, uint64_t seed,
                            bool random_weights = true);
 
+/// Random weighted graph with edge weights log-uniform in [1e-3, 1e3]:
+/// `edges` random pairs over nodes [0, nodes), plus node 0 joined to
+/// `hub_degree` random others (a planted hub). Five extra ids past `nodes`
+/// stay isolated.
+Graph SpreadWeightGraph(uint64_t nodes, uint64_t edges, uint64_t seed,
+                        uint32_t hub_degree = 0);
+
 /// Exactness assertion robust to score ties: every returned node's exact
 /// score must be at least as close as the exact k-th score (within `tol`).
 void ExpectTopKMatchesScores(const std::vector<NodeId>& returned,
