@@ -29,6 +29,12 @@ Enforced policy (see DESIGN.md "Correctness tooling & invariant policy"):
                   SIGPIPE suppression live in exactly one audited place.
                   A deliberate exception outside the wrappers carries
                   `// lint:allow(no-raw-sockets) <reason>`.
+  no-raw-mmap     `mmap` / `munmap` / `madvise` and `<sys/mman.h>` are
+                  banned everywhere except src/util/huge_page_allocator.h,
+                  so every mapping in the tree is one the allocator made,
+                  aligned, advised and unmapped in exactly one place. A
+                  deliberate exception carries
+                  `// lint:allow(no-raw-mmap) <reason>`.
   no-raw-intrinsics
                   x86 SIMD intrinsics (`_mm*`, `__m128/256/512` vector
                   types, `<immintrin.h>`) are banned everywhere except the
@@ -115,6 +121,24 @@ TOKEN_RULES_SOCKETS = [
 ]
 
 
+# Applied everywhere EXCEPT src/util/huge_page_allocator.h, the one header
+# allowed to map memory. Catches the calls, ::-qualified or not, and the
+# header include; the lookbehind keeps member functions and other
+# namespaces' functions that merely share a name from tripping.
+TOKEN_RULES_MMAP = [
+    (
+        "no-raw-mmap",
+        re.compile(
+            r"(?<![\w.>:])(::)?(mmap|munmap|madvise)\s*\(|"
+            r"#\s*include\s*<sys/mman\.h>"
+        ),
+        "raw memory mapping; allocate through HugePageAllocator / "
+        "HugePageVector (util/huge_page_allocator.h) or annotate a "
+        "deliberate exception with lint:allow(no-raw-mmap)",
+    ),
+]
+
+
 # Applied everywhere EXCEPT src/util/mutex.h, the one header allowed to
 # touch the standard locking primitives (it wraps them with thread-safety
 # capability annotations). Catches the types, the RAII lockers, the
@@ -164,7 +188,7 @@ KNOWN_RULES = frozenset(
     name
     for rules in (TOKEN_RULES_LIBRARY, TOKEN_RULES_EVERYWHERE,
                   TOKEN_RULES_SOCKETS, TOKEN_RULES_INTRINSICS,
-                  TOKEN_RULES_MUTEX)
+                  TOKEN_RULES_MUTEX, TOKEN_RULES_MMAP)
     for name, _, _ in rules
 )
 
@@ -281,6 +305,8 @@ def lint_file(path, root, findings, suppressions):
         rules += TOKEN_RULES_INTRINSICS
     if "util/mutex" not in path.as_posix():
         rules += TOKEN_RULES_MUTEX
+    if "util/huge_page_allocator.h" not in path.as_posix():
+        rules += TOKEN_RULES_MMAP
 
     consumed = set()  # (line, rule) pairs whose lint:allow suppressed a hit
     stripped = strip_comments_and_strings(text).splitlines()

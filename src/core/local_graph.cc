@@ -16,6 +16,8 @@ constexpr uint32_t kMinSlab = 4;
 /// node's CSR lines to arrive before its Add, near enough that they are
 /// still cached when it does.
 constexpr size_t kPrefetchAhead = 4;
+/// Largest entry count a 32-bit arena offset can address.
+constexpr uint64_t kMaxArenaEntries = std::numeric_limits<uint32_t>::max();
 }  // namespace
 
 LocalGraph::LocalGraph(GraphAccessor* accessor) : accessor_(accessor) {
@@ -34,7 +36,9 @@ void LocalGraph::Reset() {
   truncated_seen_ = false;
   outside_count_.clear();
   boundary_count_ = 0;
-  arena_used_ = 0;  // rewind the bump pointer; arena capacity is kept
+  list_arena_.clear();  // both arenas keep their capacity
+  list_offsets_.resize(1);
+  arena_used_ = 0;  // rewind the bump pointer
   row_start_.clear();
   row_len_.clear();
   row_cap_.clear();
@@ -46,8 +50,6 @@ void LocalGraph::Reset() {
   dirty_out_.clear();
   in_dirty_.clear();
   hop_dist_.clear();
-  // neighbors_ keeps its high-water slots (and the slots their buffers);
-  // Size() gates which entries are live.
 }
 
 Status LocalGraph::Init(NodeId query) {
@@ -80,12 +82,16 @@ Status LocalGraph::Init(const std::vector<NodeId>& queries) {
 
 void LocalGraph::AuditBookkeeping() const {
   const uint32_t n = Size();
+  FLOS_CHECK_EQ(list_offsets_.size(), size_t{n} + 1,
+                "list offsets out of step with the visited set");
+  FLOS_CHECK_EQ(list_arena_.size(), size_t{list_offsets_.back()},
+                "list arena holds entries past the last list");
   uint32_t boundary = 0;
   for (LocalId i = 0; i < n; ++i) {
     // Ground-truth outside count: re-resolve every stored neighbor's
     // visited status against the index.
     uint32_t outside = 0;
-    for (const Neighbor& nb : neighbors_[i]) {
+    for (const Neighbor& nb : Neighbors(i)) {
       if (!Contains(nb.id)) ++outside;
     }
     if (hidden_mass_[i] > 0) ++outside;  // the phantom hidden neighbor
@@ -116,10 +122,14 @@ void LocalGraph::AuditBookkeeping() const {
 }
 
 void LocalGraph::GrowRow(LocalId i, uint32_t min_cap) {
-  uint32_t cap = std::max(kMinSlab, row_cap_[i] * 2);
+  uint64_t cap = std::max<uint64_t>(kMinSlab, uint64_t{row_cap_[i]} * 2);
   while (cap < min_cap) cap *= 2;
+  // Fail closed: a wrapped bump pointer would carve the new slab over
+  // live rows.
+  FLOS_CHECK_LE(arena_used_ + cap, kMaxArenaEntries,
+                "row arena passed 2^32 entries");
   const uint32_t start = arena_used_;
-  arena_used_ += cap;
+  arena_used_ = static_cast<uint32_t>(arena_used_ + cap);
   if (arena_idx_.size() < arena_used_) {
     arena_idx_.resize(arena_used_);
     arena_weight_.resize(arena_used_);
@@ -132,7 +142,7 @@ void LocalGraph::GrowRow(LocalId i, uint32_t min_cap) {
   std::copy_n(arena_weight_.begin() + old_start, len,
               arena_weight_.begin() + start);
   row_start_[i] = start;
-  row_cap_[i] = cap;
+  row_cap_[i] = static_cast<uint32_t>(cap);
 }
 
 void LocalGraph::RowAppend(LocalId i, LocalId j, double p) {
@@ -154,6 +164,13 @@ Status LocalGraph::Add(NodeId global) {
   dirty_.push_back(local);
 
   FLOS_RETURN_IF_ERROR(accessor_->CopyNeighbors(global, &scratch_));
+  // The list lands at the list arena tail; scratch_ stays this join's
+  // cached working copy.
+  const uint64_t list_end = uint64_t{list_offsets_.back()} + scratch_.size();
+  FLOS_CHECK_LE(list_end, kMaxArenaEntries,
+                "fetched-list arena passed 2^32 entries");
+  list_arena_.insert(list_arena_.end(), scratch_.begin(), scratch_.end());
+  list_offsets_.push_back(static_cast<uint32_t>(list_end));
   // The degree comes from the accessor, NOT from summing the fetched list:
   // on truncated rows (a ShardAccessor's halo fringe) the fetched sum is
   // short, and normalizing transitions by it would overweight the visible
@@ -184,10 +201,6 @@ Status LocalGraph::Add(NodeId global) {
   row_len_.push_back(0);
   row_cap_.push_back(0);
   row_in_mass_.push_back(0.0);
-
-  // Reuse the neighbor slot (and its buffer) past a Reset; only grow the
-  // spine at the high-water mark.
-  if (local >= neighbors_.size()) neighbors_.emplace_back();
 
   // Build this node's within-S row and patch existing rows/boundary counts.
   // Each neighbor's visited status is resolved with ONE index probe; an
@@ -222,11 +235,6 @@ Status LocalGraph::Add(NodeId global) {
   if (hidden > 0) ++outside;
   outside_count_.push_back(outside);
   if (outside > 0) ++boundary_count_;
-
-  // The neighbor list lands in its slot by swap, leaving the slot's
-  // previous buffer as the next fetch scratch.
-  neighbors_[local].swap(scratch_);
-  scratch_.clear();
 
   // Within-S hop distances: initialize from visited neighbors, then relax
   // decreases through existing rows (new edges can create shortcuts).
@@ -269,12 +277,12 @@ Result<uint32_t> LocalGraph::Expand(LocalId u) {
   if (u >= Size()) {
     return Status::OutOfRange("local id out of range in Expand");
   }
-  // Snapshot the unvisited neighbor ids first: Add() grows neighbors_, so
-  // iterating the list while adding would be unsafe. Accessor neighbor
+  // Snapshot the unvisited neighbor ids first: Add() grows the list arena,
+  // so iterating the list while adding would be unsafe. Accessor neighbor
   // lists are sorted and duplicate-free, and Add(v) adds exactly v, so no
   // re-check is needed in the second loop — one index probe per neighbor.
   expand_scratch_.clear();
-  for (const Neighbor& nb : neighbors_[u]) {
+  for (const Neighbor& nb : Neighbors(u)) {
     if (LocalIndex(nb.id) == kInvalidLocal) expand_scratch_.push_back(nb.id);
   }
   const size_t joins = expand_scratch_.size();
@@ -302,7 +310,6 @@ const std::vector<LocalId>& LocalGraph::TakeDirtyNodes() {
 
 void LocalGraph::SaveSnapshot(LocalGraphSnapshot* out) const {
   FLOS_CHECK(query_ != kInvalidNode, "SaveSnapshot needs an Init'd graph");
-  const uint32_t n = Size();
   out->query = query_;
   out->query_count = query_count_;
   out->local_to_global = local_to_global_;
@@ -311,20 +318,8 @@ void LocalGraph::SaveSnapshot(LocalGraphSnapshot* out) const {
   out->truncated_seen = truncated_seen_;
   out->outside_count = outside_count_;
   out->boundary_count = boundary_count_;
-  // Only the first n neighbor slots are live; slots past the high-water
-  // mark belong to earlier queries. Flattened into one list + offsets.
-  out->neighbor_offsets.resize(n + 1);
-  out->neighbor_offsets[0] = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    out->neighbor_offsets[i + 1] =
-        out->neighbor_offsets[i] + static_cast<uint32_t>(neighbors_[i].size());
-  }
-  out->neighbor_list.clear();
-  out->neighbor_list.reserve(out->neighbor_offsets[n]);
-  for (uint32_t i = 0; i < n; ++i) {
-    out->neighbor_list.insert(out->neighbor_list.end(), neighbors_[i].begin(),
-                              neighbors_[i].end());
-  }
+  out->neighbor_offsets = list_offsets_;
+  out->neighbor_list.assign(list_arena_.begin(), list_arena_.end());
   // Only the used arena prefix: slab capacities never extend past the bump
   // pointer (AuditBookkeeping checks exactly this).
   out->arena_idx.assign(arena_idx_.begin(), arena_idx_.begin() + arena_used_);
@@ -353,14 +348,8 @@ void LocalGraph::RestoreSnapshot(const LocalGraphSnapshot& snap) {
   truncated_seen_ = snap.truncated_seen;
   outside_count_ = snap.outside_count;
   boundary_count_ = snap.boundary_count;
-  // Copy the live neighbor lists slot by slot so slots keep their reusable
-  // buffers; slots past n stay as high-water scratch.
-  if (neighbors_.size() < n) neighbors_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    neighbors_[i].assign(
-        snap.neighbor_list.begin() + snap.neighbor_offsets[i],
-        snap.neighbor_list.begin() + snap.neighbor_offsets[i + 1]);
-  }
+  list_offsets_ = snap.neighbor_offsets;
+  list_arena_.assign(snap.neighbor_list.begin(), snap.neighbor_list.end());
   if (arena_idx_.size() < snap.arena_used) {
     arena_idx_.resize(snap.arena_used);
     arena_weight_.resize(snap.arena_used);

@@ -36,12 +36,26 @@
 // degree probe. Both rest on the symmetric-list invariant outside_count_
 // already assumes: j appears in i's fetched list iff i appears in j's.
 //
+// Fetched neighbor lists live in ONE FLAT LIST ARENA in visit order: node
+// i's list is list_arena_[list_offsets_[i], list_offsets_[i + 1]). A join
+// fetches into a reused scratch buffer that stays cached and appends it at
+// the arena tail, a sequential write, instead of handing each node its own
+// heap buffer. Neighbors(i) is a span into the arena, so a snapshot of the
+// lists is a single copy either way.
+//
+// Memory layout for cheap joins: the list arena and the two row arenas
+// are huge-page backed once they reach 2 MiB (util/huge_page_allocator.h),
+// as are the CSR arrays (graph/graph.h) and the dense visited index a join
+// probes. The row arenas' bump pointer and the list offsets are 32-bit; a
+// query whose arenas would pass 2^32 entries aborts with a FLOS_CHECK
+// instead of wrapping onto live entries.
+//
 // Reuse: a LocalGraph is a per-worker workspace, not a per-query object.
 // Reset() returns it to the pre-Init state in O(|S|) without releasing any
 // storage — the visited index clears only the entries it holds
-// (core/node_index.h) and the row arena keeps its capacity with the bump
-// pointer rewound — so steady-state queries perform no allocation and no
-// hashing on the hot membership checks when the accessor advertises
+// (core/node_index.h) and the row and list arenas keep their capacity with
+// their tails rewound — so steady-state queries perform no allocation and
+// no hashing on the hot membership checks when the accessor advertises
 // DenseIndexHint().
 
 #ifndef FLOS_CORE_LOCAL_GRAPH_H_
@@ -49,12 +63,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/node_index.h"
 #include "graph/accessor.h"
 #include "graph/graph.h"
 #include "util/check.h"
+#include "util/huge_page_allocator.h"
 #include "util/status.h"
 
 namespace flos {
@@ -80,7 +96,8 @@ struct LocalRow {
 /// query needs that cannot be rebuilt locally: the visited set in visit
 /// order, the compacted local CSR (used arena prefix + spines), the
 /// fetched neighbor lists, boundary/hidden-mass bookkeeping and hop
-/// distances. The neighbor lists are stored flat — node i's list is
+/// distances. The neighbor lists are stored flat, exactly as the live list
+/// arena holds them — node i's list is
 /// neighbor_list[neighbor_offsets[i], neighbor_offsets[i + 1]) — so a
 /// snapshot costs a handful of allocations however large S is. The
 /// visited index (global_to_local) is NOT stored;
@@ -236,9 +253,13 @@ class LocalGraph {
     return std::clamp(loop, 0.0, OutMass(local));
   }
 
-  /// Full neighbor list of visited node i (global ids), as fetched.
-  const std::vector<Neighbor>& Neighbors(LocalId local) const {
-    return neighbors_[local];
+  /// Full neighbor list of visited node i (global ids), as fetched: a view
+  /// into the list arena with LocalRow's lifetime (valid until the next
+  /// Expand/Init/Reset call).
+  std::span<const Neighbor> Neighbors(LocalId local) const {
+    FLOS_DCHECK(local < Size(), "Neighbors: local id out of range");
+    const uint32_t start = list_offsets_[local];
+    return {list_arena_.data() + start, list_offsets_[local + 1] - start};
   }
 
   /// Weighted degree of an arbitrary (possibly unvisited) node, read
@@ -323,13 +344,17 @@ class LocalGraph {
   bool truncated_seen_ = false;  ///< any visited row had hidden mass
   std::vector<uint32_t> outside_count_;
   uint32_t boundary_count_ = 0;  ///< # nodes with outside_count_ > 0
-  std::vector<std::vector<Neighbor>> neighbors_;
+
+  // Fetched neighbor lists, flat in visit order; Size() + 1 offsets.
+  // Reset() clears both and keeps the arena's capacity.
+  HugePageVector<Neighbor> list_arena_;
+  std::vector<uint32_t> list_offsets_{0};
 
   // Flat local CSR (SoA): per-row slabs inside two parallel arenas. The
   // arena vectors only ever grow; `arena_used_` is the bump pointer, and
   // Reset() rewinds it without releasing capacity.
-  std::vector<LocalId> arena_idx_;
-  std::vector<double> arena_weight_;
+  HugePageVector<LocalId> arena_idx_;
+  HugePageVector<double> arena_weight_;
   uint32_t arena_used_ = 0;
   std::vector<uint32_t> row_start_;
   std::vector<uint32_t> row_len_;
@@ -341,7 +366,7 @@ class LocalGraph {
   std::vector<double> two_step_return_;  ///< R_i over the fetched list
   std::vector<double> in_loop_mass_;     ///< sum_{j in N(i) cap S} p_ij p_ji
 
-  std::vector<Neighbor> scratch_;
+  std::vector<Neighbor> scratch_;        // fetch buffer, copied to the arena
   std::vector<NodeId> expand_scratch_;   // unvisited neighbors in Expand
   std::vector<LocalId> relax_scratch_;   // hop-distance relaxation queue
   std::vector<LocalId> dirty_;

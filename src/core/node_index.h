@@ -14,7 +14,9 @@
 //     value array still costs O(NumNodes()) memory per map, which is the
 //     right trade for in-memory CSR graphs, where node count is known and a
 //     few bytes per node per worker thread is cheap (see
-//     GraphAccessor::DenseIndexHint).
+//     GraphAccessor::DenseIndexHint). Both arrays are huge-page backed
+//     once they reach 2 MiB (util/huge_page_allocator.h): every probe is
+//     a random read, and the value array alone is 4 MB at 1M nodes.
 //   * sparse — open-addressing hash table (linear probing, power-of-two
 //     capacity, epoch-stamped slots) that resets in O(1) by bumping the
 //     epoch: a slot whose stamp differs from the current epoch is absent.
@@ -34,6 +36,7 @@
 
 #include "graph/graph.h"
 #include "util/check.h"
+#include "util/huge_page_allocator.h"
 
 namespace flos {
 
@@ -192,9 +195,9 @@ class NodeMap {
   bool dense_ = false;
   uint32_t size_ = 0;
   // Dense backend.
-  std::vector<uint64_t> dense_bits_;  ///< presence, 1 bit per node
-  std::vector<V> dense_value_;        ///< read only where the bit is set
-  std::vector<NodeId> dense_keys_;    ///< keys inserted since last Reset
+  HugePageVector<uint64_t> dense_bits_;  ///< presence, 1 bit per node
+  HugePageVector<V> dense_value_;        ///< read only where the bit is set
+  std::vector<NodeId> dense_keys_;       ///< keys inserted since last Reset
   // Sparse backend.
   uint32_t epoch_ = 0;
   std::vector<Slot> slots_;

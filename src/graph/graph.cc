@@ -51,9 +51,9 @@ void Graph::FinalizeDerived() {
             });
 }
 
-Result<Graph> GraphFromCsrParts(std::vector<uint64_t> offsets,
-                                std::vector<NodeId> neighbors,
-                                std::vector<double> weights) {
+Result<Graph> GraphFromCsrParts(HugePageVector<uint64_t> offsets,
+                                HugePageVector<NodeId> neighbors,
+                                HugePageVector<double> weights) {
   if (offsets.empty() || offsets.front() != 0 ||
       offsets.back() != neighbors.size() || neighbors.size() != weights.size()) {
     return Status::Corruption("inconsistent CSR part sizes");

@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "util/huge_page_allocator.h"
 #include "util/status.h"
 
 namespace flos {
@@ -92,34 +93,38 @@ class Graph {
   }
 
   /// Raw CSR arrays, for algorithms that iterate the whole graph.
-  const std::vector<uint64_t>& offsets() const { return offsets_; }
-  const std::vector<NodeId>& neighbors() const { return neighbors_; }
-  const std::vector<double>& weights() const { return weights_; }
+  std::span<const uint64_t> offsets() const { return offsets_; }
+  std::span<const NodeId> neighbors() const { return neighbors_; }
+  std::span<const double> weights() const { return weights_; }
 
  private:
   friend class GraphBuilder;
-  friend Result<Graph> GraphFromCsrParts(std::vector<uint64_t> offsets,
-                                         std::vector<NodeId> neighbors,
-                                         std::vector<double> weights);
+  friend Result<Graph> GraphFromCsrParts(HugePageVector<uint64_t> offsets,
+                                         HugePageVector<NodeId> neighbors,
+                                         HugePageVector<double> weights);
 
   void FinalizeDerived();
 
-  std::vector<uint64_t> offsets_;   // size NumNodes()+1
-  std::vector<NodeId> neighbors_;   // size NumDirectedEdges()
-  std::vector<double> weights_;     // size NumDirectedEdges()
-  std::vector<double> weighted_degree_;
-  std::vector<double> two_step_return_;
+  // Every per-node and per-edge array a join reads lives in huge-page-backed
+  // storage (util/huge_page_allocator.h): a join is a random read into
+  // them, and 2 MiB pages take the TLB walk off most of those reads.
+  HugePageVector<uint64_t> offsets_;   // size NumNodes()+1
+  HugePageVector<NodeId> neighbors_;   // size NumDirectedEdges()
+  HugePageVector<double> weights_;     // size NumDirectedEdges()
+  HugePageVector<double> weighted_degree_;
+  HugePageVector<double> two_step_return_;
   std::vector<NodeId> degree_order_;
   uint64_t directed_edge_count_ = 0;
   double max_weighted_degree_ = 0;
 };
 
-/// Reassembles a Graph from raw CSR parts (used by the disk loader). The
-/// parts must describe a symmetric graph with sorted neighbor lists;
-/// violations are reported as Corruption.
-Result<Graph> GraphFromCsrParts(std::vector<uint64_t> offsets,
-                                std::vector<NodeId> neighbors,
-                                std::vector<double> weights);
+/// Reassembles a Graph from raw CSR parts. The parts must describe a
+/// symmetric graph with sorted neighbor lists; violations are reported as
+/// Corruption. The parts are taken by value in the Graph's own storage
+/// type, so a caller that moves them in hands its buffers over uncopied.
+Result<Graph> GraphFromCsrParts(HugePageVector<uint64_t> offsets,
+                                HugePageVector<NodeId> neighbors,
+                                HugePageVector<double> weights);
 
 /// Accumulates edges and produces an immutable `Graph`.
 ///

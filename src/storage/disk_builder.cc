@@ -46,8 +46,8 @@ Status WriteDiskGraph(const Graph& graph, const std::string& path) {
     // Packed 12-byte adjacency entries, streamed through a buffer.
     std::vector<char> buffer;
     buffer.reserve(1 << 20);
-    const auto& neighbors = graph.neighbors();
-    const auto& weights = graph.weights();
+    const auto neighbors = graph.neighbors();
+    const auto weights = graph.weights();
     for (size_t e = 0; e < neighbors.size() && status.ok(); ++e) {
       char entry[kAdjacencyEntryBytes];
       std::memcpy(entry, &neighbors[e], sizeof(uint32_t));

@@ -4,8 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "graph/accessor.h"
+#include "storage/disk_builder.h"
+#include "storage/disk_graph.h"
 #include "tests/test_util.h"
+#include "util/huge_page_allocator.h"
 
 namespace flos {
 namespace {
@@ -134,8 +142,10 @@ TEST(GraphFromCsrPartsTest, AcceptsValidAndRejectsCorrupt) {
   FLOS_ASSERT_OK(builder.AddEdge(1, 2, 1.0));
   const Graph g = ValueOrDie(std::move(builder).Build());
   // Round-trip through raw parts.
-  const Graph g2 = ValueOrDie(
-      GraphFromCsrParts(g.offsets(), g.neighbors(), g.weights()));
+  const Graph g2 = ValueOrDie(GraphFromCsrParts(
+      {g.offsets().begin(), g.offsets().end()},
+      {g.neighbors().begin(), g.neighbors().end()},
+      {g.weights().begin(), g.weights().end()}));
   EXPECT_EQ(g2.NumEdges(), g.NumEdges());
   EXPECT_DOUBLE_EQ(g2.EdgeWeight(0, 1), 2.0);
 
@@ -148,6 +158,56 @@ TEST(GraphFromCsrPartsTest, AcceptsValidAndRejectsCorrupt) {
   // Unsorted neighbors.
   EXPECT_FALSE(
       GraphFromCsrParts({0, 2, 3, 5}, {2, 1, 0, 0, 1}, {1, 1, 1, 1, 1}).ok());
+}
+
+void ExpectSameCsr(const Graph& got, const Graph& want, const char* path) {
+  EXPECT_TRUE(std::ranges::equal(got.offsets(), want.offsets())) << path;
+  EXPECT_TRUE(std::ranges::equal(got.neighbors(), want.neighbors())) << path;
+  EXPECT_TRUE(std::ranges::equal(got.weights(), want.weights())) << path;
+  for (NodeId u = 0; u < want.NumNodes(); ++u) {
+    ASSERT_EQ(got.WeightedDegree(u), want.WeightedDegree(u)) << path;
+    ASSERT_EQ(got.TwoStepReturn(u), want.TwoStepReturn(u)) << path;
+  }
+}
+
+TEST(GraphFromCsrPartsTest, BuilderPartsAndDiskRoundTripAgree) {
+  // Large enough that the weight array (8 bytes per half-edge) is
+  // huge-page mapped while the offsets stay on the heap.
+  const Graph g = SpreadWeightGraph(40000, 160000, 3, /*hub_degree=*/2000);
+  ASSERT_TRUE(HugePageAllocator<double>::IsMapped(g.NumDirectedEdges()));
+  ASSERT_FALSE(HugePageAllocator<uint64_t>::IsMapped(g.NumNodes() + 1));
+
+  // Moved-in parts: the Graph adopts the buffers.
+  HugePageVector<uint64_t> offsets(g.offsets().begin(), g.offsets().end());
+  HugePageVector<NodeId> neighbors(g.neighbors().begin(),
+                                   g.neighbors().end());
+  HugePageVector<double> weights(g.weights().begin(), g.weights().end());
+  const NodeId* neighbor_data = neighbors.data();
+  const Graph from_parts = ValueOrDie(GraphFromCsrParts(
+      std::move(offsets), std::move(neighbors), std::move(weights)));
+  EXPECT_EQ(from_parts.neighbors().data(), neighbor_data);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameCsr(from_parts, g, "parts"));
+
+  // Disk round trip: write, reopen, reassemble the CSR from the fetches.
+  const std::string path = ::testing::TempDir() + "/graph_round_trip.fdg";
+  FLOS_ASSERT_OK(WriteDiskGraph(g, path));
+  auto disk = ValueOrDie(DiskGraph::Open(path, DiskGraphOptions{}));
+  HugePageVector<uint64_t> disk_offsets{0};
+  HugePageVector<NodeId> disk_neighbors;
+  HugePageVector<double> disk_weights;
+  std::vector<Neighbor> fetched;
+  for (NodeId u = 0; u < disk->NumNodes(); ++u) {
+    FLOS_ASSERT_OK(disk->CopyNeighbors(u, &fetched));
+    for (const Neighbor& nb : fetched) {
+      disk_neighbors.push_back(nb.id);
+      disk_weights.push_back(nb.weight);
+    }
+    disk_offsets.push_back(disk_neighbors.size());
+  }
+  const Graph from_disk = ValueOrDie(GraphFromCsrParts(
+      std::move(disk_offsets), std::move(disk_neighbors),
+      std::move(disk_weights)));
+  ASSERT_NO_FATAL_FAILURE(ExpectSameCsr(from_disk, g, "disk"));
 }
 
 TEST(InMemoryAccessorTest, MatchesGraphAndCountsStats) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "graph/accessor.h"
 #include "graph/generators.h"
@@ -41,15 +43,67 @@ void ExpectMassesMatchScan(const LocalGraph& local, GraphAccessor* accessor,
   }
 }
 
+/// Checks every visited node's arena list against a fresh fetch of the
+/// same node through `accessor`.
+void ExpectListsMatchFetch(const LocalGraph& local, GraphAccessor* accessor,
+                           const std::string& where) {
+  std::vector<Neighbor> fresh;
+  for (LocalId i = 0; i < local.Size(); ++i) {
+    ASSERT_TRUE(accessor->CopyNeighbors(local.GlobalId(i), &fresh).ok());
+    ASSERT_TRUE(std::ranges::equal(local.Neighbors(i), fresh))
+        << where << ", local " << i;
+  }
+}
+
 /// Expands every node in visit order (breadth first) until S holds
-/// `target` nodes or nothing is left, checking the masses after each step.
-void ExpandCheckingMasses(LocalGraph& local, GraphAccessor* accessor,
-                          uint32_t target) {
-  ASSERT_NO_FATAL_FAILURE(ExpectMassesMatchScan(local, accessor, "Init"));
+/// `target` nodes or nothing is left, calling `check(where)` after Init and
+/// after each step.
+template <typename Check>
+void ExpandChecking(LocalGraph& local, uint32_t target, const Check& check) {
+  ASSERT_NO_FATAL_FAILURE(check("Init"));
   for (LocalId u = 0; u < local.Size() && local.Size() < target; ++u) {
     ASSERT_TRUE(local.Expand(u).ok());
-    ASSERT_NO_FATAL_FAILURE(ExpectMassesMatchScan(
-        local, accessor, "after expanding local " + std::to_string(u)));
+    ASSERT_NO_FATAL_FAILURE(
+        check("after expanding local " + std::to_string(u)));
+  }
+}
+
+void ExpandCheckingMasses(LocalGraph& local, GraphAccessor* accessor,
+                          uint32_t target) {
+  ExpandChecking(local, target, [&](const std::string& where) {
+    ExpectMassesMatchScan(local, accessor, where);
+  });
+}
+
+void ExpandCheckingLists(LocalGraph& local, GraphAccessor* accessor,
+                         uint32_t target) {
+  ExpandChecking(local, target, [&](const std::string& where) {
+    ExpectListsMatchFetch(local, accessor, where);
+  });
+}
+
+/// `snap` with the row arenas' dead entries zeroed. Abandoned slabs and
+/// unused slab tails hold whatever the workspace's arena held before, so
+/// two snapshots of one search state agree only on the live entries.
+LocalGraphSnapshot LiveEntriesOnly(LocalGraphSnapshot snap) {
+  std::vector<bool> live(snap.arena_used, false);
+  for (LocalId i = 0; i < snap.Size(); ++i) {
+    for (uint32_t e = 0; e < snap.row_len[i]; ++e) {
+      live[snap.row_start[i] + e] = true;
+    }
+  }
+  for (uint32_t e = 0; e < snap.arena_used; ++e) {
+    if (live[e]) continue;
+    snap.arena_idx[e] = 0;
+    snap.arena_weight[e] = 0;
+  }
+  return snap;
+}
+
+/// Expands local ids [from, to) in order, stopping early if S runs out.
+void ExpandRange(LocalGraph& local, LocalId from, LocalId to) {
+  for (LocalId u = from; u < to && u < local.Size(); ++u) {
+    FLOS_ASSERT_OK(local.Expand(u).status());
   }
 }
 
@@ -331,6 +385,97 @@ TEST(LocalGraphTest, BoundaryMassesMatchScanOnDiskGraph) {
     EXPECT_EQ(in_memory.OutMass(i), local.OutMass(i));
     EXPECT_EQ(in_memory.LoopMass(i), local.LoopMass(i));
   }
+}
+
+TEST(LocalGraphTest, ArenaListsMatchFreshFetchOnEveryAccessor) {
+  GeneratorOptions rand;
+  rand.num_nodes = 2000;
+  rand.num_edges = 10000;
+  rand.seed = 21;
+  const Graph graphs[] = {ValueOrDie(GenerateErdosRenyi(rand)),
+                          SpreadWeightGraph(2000, 6000, 23, /*hub_degree=*/800)};
+  for (const Graph& g : graphs) {
+    InMemoryAccessor accessor(&g);
+    LocalGraph local(&accessor);
+    // The second query reuses the first one's arena: stale lists past the
+    // tail must never show through.
+    for (const NodeId q : {NodeId{0}, NodeId{17}}) {
+      FLOS_ASSERT_OK(local.Init(q));
+      ASSERT_NO_FATAL_FAILURE(ExpandCheckingLists(local, &accessor, 500));
+      local.Reset();
+    }
+  }
+
+  const Graph sharded = SpreadWeightGraph(600, 1500, 25);
+  PartitionOptions options;
+  options.num_shards = 2;
+  options.halo_hops = 1;
+  const GraphPartition part = ValueOrDie(PartitionGraph(sharded, options));
+  for (const ShardPart& shard : part.shards) {
+    ShardAccessor accessor(&shard.graph, &shard.meta);
+    LocalGraph local(&accessor);
+    NodeId q = 0;
+    while (shard.graph.Degree(q) == 0) ++q;
+    FLOS_ASSERT_OK(local.Init(q));
+    ASSERT_NO_FATAL_FAILURE(ExpandCheckingLists(local, &accessor, 10000));
+  }
+
+  const Graph on_disk = SpreadWeightGraph(1000, 4000, 27, /*hub_degree=*/200);
+  const std::string path = ::testing::TempDir() + "/local_graph_lists.fdg";
+  FLOS_ASSERT_OK(WriteDiskGraph(on_disk, path));
+  auto disk = ValueOrDie(DiskGraph::Open(path, DiskGraphOptions{}));
+  LocalGraph local(disk.get());
+  FLOS_ASSERT_OK(local.Init(0));
+  ASSERT_NO_FATAL_FAILURE(ExpandCheckingLists(local, disk.get(), 400));
+}
+
+TEST(LocalGraphTest, ResetAndRerunReproducesTheSnapshot) {
+  const Graph g = SpreadWeightGraph(3000, 12000, 29, /*hub_degree=*/400);
+  InMemoryAccessor accessor(&g);
+  LocalGraph local(&accessor);
+  LocalGraphSnapshot first;
+  FLOS_ASSERT_OK(local.Init(5));
+  ASSERT_NO_FATAL_FAILURE(ExpandRange(local, 0, 40));
+  local.SaveSnapshot(&first);
+  local.Reset();
+  // A larger query in between leaves every arena longer than the rerun.
+  FLOS_ASSERT_OK(local.Init(0));
+  ASSERT_NO_FATAL_FAILURE(ExpandRange(local, 0, 200));
+  ASSERT_GT(local.Size(), first.Size());
+  local.Reset();
+  LocalGraphSnapshot again;
+  FLOS_ASSERT_OK(local.Init(5));
+  ASSERT_NO_FATAL_FAILURE(ExpandRange(local, 0, 40));
+  local.SaveSnapshot(&again);
+  EXPECT_TRUE(again.neighbor_list == first.neighbor_list);
+  EXPECT_TRUE(LiveEntriesOnly(again) == LiveEntriesOnly(first));
+}
+
+TEST(LocalGraphTest, RestoreThenExpandEqualsAnUninterruptedRun) {
+  const Graph g = SpreadWeightGraph(3000, 12000, 31, /*hub_degree=*/400);
+  InMemoryAccessor accessor(&g);
+  LocalGraph uninterrupted(&accessor);
+  FLOS_ASSERT_OK(uninterrupted.Init(7));
+  ASSERT_NO_FATAL_FAILURE(ExpandRange(uninterrupted, 0, 10));
+  LocalGraphSnapshot midway;
+  uninterrupted.SaveSnapshot(&midway);
+  ASSERT_NO_FATAL_FAILURE(ExpandRange(uninterrupted, 10, 60));
+  LocalGraphSnapshot want;
+  uninterrupted.SaveSnapshot(&want);
+
+  // Restore into a workspace that served another query first, so the
+  // restored lists land over stale arena contents.
+  LocalGraph resumed(&accessor);
+  FLOS_ASSERT_OK(resumed.Init(0));
+  ASSERT_NO_FATAL_FAILURE(ExpandRange(resumed, 0, 100));
+  resumed.Reset();
+  resumed.RestoreSnapshot(midway);
+  ASSERT_NO_FATAL_FAILURE(ExpandRange(resumed, 10, 60));
+  LocalGraphSnapshot got;
+  resumed.SaveSnapshot(&got);
+  EXPECT_TRUE(got.neighbor_list == want.neighbor_list);
+  EXPECT_TRUE(LiveEntriesOnly(got) == LiveEntriesOnly(want));
+  ASSERT_NO_FATAL_FAILURE(ExpectListsMatchFetch(resumed, &accessor, "resumed"));
 }
 
 TEST(LocalGraphTest, RejectsBadIds) {

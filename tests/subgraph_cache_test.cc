@@ -193,7 +193,7 @@ TEST(SubgraphCacheTest, SnapshotRoundTripIsLosslessAndCertifies) {
   ASSERT_EQ(saved.neighbor_list.size(), saved.neighbor_offsets.back());
 
   // Restore into a workspace that already served a larger query, so the
-  // restore lands on reused neighbor slots and a longer arena.
+  // restore lands on longer list and row arenas holding stale entries.
   InMemoryAccessor other(&g);
   LocalGraph local(&other);
   FLOS_ASSERT_OK(local.Init(q + 1));

@@ -1,13 +1,18 @@
 // Unit tests for the utility substrate: Status/Result, Rng, FlagParser,
-// TablePrinter, and the LRU template's entry-count use.
+// TablePrinter, the LRU template's entry-count use, and the huge-page
+// allocator.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "tests/test_util.h"
 #include "util/flags.h"
+#include "util/huge_page_allocator.h"
 #include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -239,6 +244,112 @@ TEST(LruCacheTest, ClearDropsEveryEntryAndItsCharge) {
   cache.Put(3, "c", 8);
   EXPECT_NE(cache.Get(3), nullptr);
   EXPECT_EQ(cache.charge(), 8u);
+}
+
+bool HugePageAligned(const void* p) {
+  return reinterpret_cast<uintptr_t>(p) % kHugePageBytes == 0;
+}
+
+/// Virtual size of this process in pages (first field of statm).
+uint64_t VirtualPages() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t pages = 0;
+  statm >> pages;
+  return pages;
+}
+
+TEST(HugePageAllocatorTest, MapsFromTwoMibUp) {
+  using CharAlloc = HugePageAllocator<char>;
+  using DoubleAlloc = HugePageAllocator<double>;
+  EXPECT_FALSE(CharAlloc::IsMapped(kHugePageBytes - 1));
+  EXPECT_TRUE(CharAlloc::IsMapped(kHugePageBytes));
+  EXPECT_FALSE(DoubleAlloc::IsMapped(kHugePageBytes / sizeof(double) - 1));
+  EXPECT_TRUE(DoubleAlloc::IsMapped(kHugePageBytes / sizeof(double)));
+  // Both sides of the threshold allocate, hold writes and free.
+  CharAlloc alloc;
+  for (const size_t n : {size_t{1}, kHugePageBytes - 1, kHugePageBytes}) {
+    char* p = alloc.allocate(n);
+    ASSERT_NE(p, nullptr);
+    p[n - 1] = 'z';
+    p[0] = 'a';
+    EXPECT_EQ(p[0], 'a');
+    EXPECT_EQ(p[n - 1], n > 1 ? 'z' : 'a');
+    alloc.deallocate(p, n);
+  }
+}
+
+TEST(HugePageAllocatorTest, MappedBlocksAreTwoMibAlignedAndZeroed) {
+  HugePageAllocator<uint64_t> alloc;
+  const size_t per_page = kHugePageBytes / sizeof(uint64_t);
+  // Exact pages and odd sizes whose tail page is partial.
+  for (const size_t n : {per_page, per_page + 1, 3 * per_page + 7}) {
+    uint64_t* p = alloc.allocate(n);
+    EXPECT_TRUE(HugePageAligned(p)) << n << " elements";
+    EXPECT_EQ(p[0], 0u);
+    EXPECT_EQ(p[n - 1], 0u);
+    p[n - 1] = n;
+    EXPECT_EQ(p[n - 1], n);
+    alloc.deallocate(p, n);
+  }
+}
+
+TEST(HugePageAllocatorTest, VectorKeepsContentsAcrossTheThreshold) {
+  HugePageVector<uint32_t> v;
+  const auto count = static_cast<uint32_t>(3 * kHugePageBytes / sizeof(uint32_t));
+  bool crossed = false;
+  for (uint32_t i = 0; i < count; ++i) {
+    v.push_back(i * 7u);
+    if (HugePageAllocator<uint32_t>::IsMapped(v.capacity())) {
+      crossed = true;
+      ASSERT_TRUE(HugePageAligned(v.data())) << "capacity " << v.capacity();
+    }
+  }
+  EXPECT_TRUE(crossed);
+  for (uint32_t i = 0; i < count; ++i) ASSERT_EQ(v[i], i * 7u);
+  // Shrinking back below the threshold copies into a heap block.
+  v.resize(16);
+  v.shrink_to_fit();
+  for (uint32_t i = 0; i < 16; ++i) ASSERT_EQ(v[i], i * 7u);
+}
+
+TEST(HugePageAllocatorTest, MoveAndSwapHandBuffersOver) {
+  HugePageVector<double> big(kHugePageBytes / sizeof(double) + 5, 1.5);
+  HugePageVector<double> small(3, 2.5);
+  const double* big_data = big.data();
+  const double* small_data = small.data();
+  big.swap(small);
+  EXPECT_EQ(big.data(), small_data);
+  EXPECT_EQ(small.data(), big_data);
+  EXPECT_EQ(big.size(), 3u);
+  EXPECT_EQ(small.back(), 1.5);
+  std::swap(big, small);
+  EXPECT_EQ(big.data(), big_data);
+  HugePageVector<double> moved(std::move(big));
+  EXPECT_EQ(moved.data(), big_data);
+  EXPECT_EQ(moved.front(), 1.5);
+  HugePageVector<double> assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.data(), big_data);
+  assigned = small;  // copy back below the threshold
+  EXPECT_EQ(assigned.size(), 3u);
+  EXPECT_EQ(assigned[2], 2.5);
+}
+
+TEST(HugePageAllocatorTest, RepeatedAllocateAndFreeReleasesMappings) {
+  HugePageAllocator<char> alloc;
+  const size_t n = 2 * kHugePageBytes + 12345;
+  const uint64_t before = VirtualPages();
+  for (int round = 0; round < 256; ++round) {
+    char* p = alloc.allocate(n);
+    ASSERT_TRUE(HugePageAligned(p));
+    p[round] = static_cast<char>(round);
+    p[n - 1] = 1;
+    alloc.deallocate(p, n);
+  }
+  // 256 leaked blocks would add 1.5 GB of address space; a few MB of
+  // drift is the test runner's own.
+  const uint64_t after = VirtualPages();
+  EXPECT_LT(after, before + (64u << 20) / 4096) << before << " -> " << after;
 }
 
 }  // namespace
