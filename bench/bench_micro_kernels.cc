@@ -1,11 +1,11 @@
 // Google-benchmark microbenchmarks for the kernels the figure-level
 // results are built from: CSR neighbor scans, one global-iteration sweep,
 // the fused Gauss–Seidel bound sweep over the flat SoA local CSR (plain,
-// audited, and through each SweepBackend), a FLoS expansion + bound update
-// step, full queries, and disk reads.
+// audited, and through the engine's FixedPointSweeper), a FLoS expansion +
+// bound update step, full queries, and disk reads.
 //
 // After the google-benchmark run, the binary self-times the bound sweeps
-// (per backend and block-parallel) and full-query throughput at k=20 on
+// (serial and block-parallel) and full-query throughput at k=20 on
 // the RAND and R-MAT presets and writes `BENCH_kernels.json`
 // (ns/row-sweep, iterations-to-converge, QPS) so future changes have a
 // perf trajectory to compare against. Pass --no-kernel-json to skip the
@@ -208,15 +208,14 @@ struct SweepFixture {
     return delta;
   }
 
-  // One sweep through a SweepBackend (core/sweep_kernel.h) over the
-  // pair-interleaved bound layout the unified engine uses —
+  // One sweep through the FixedPointSweeper (core/sweep_kernel.h) over
+  // the pair-interleaved bound layout the unified engine uses —
   // bounds[2i] = lower_i, bounds[2i+1] = upper_i. Same system, same
-  // coefficients; this is what prices the scalar backend vs the blocked-ELL
-  // AVX2 backend on production data. With a pool the sweep runs the
+  // coefficients as the SoA sweeps above. With a pool the sweep runs the
   // block-parallel path over `chunks` row blocks (snapshot half at +2n,
   // per the FixedPointSweepArgs layout contract).
-  double BackendSweep(SweepBackend* backend, ThreadPool* pool = nullptr,
-                      uint32_t chunks = 1) {
+  double PairSweep(FixedPointSweeper* sweeper, ThreadPool* pool = nullptr,
+                   uint32_t chunks = 1) {
     FixedPointSweepArgs args;
     args.local = local.get();
     args.bounds = pair_bounds.data();
@@ -233,7 +232,7 @@ struct SweepFixture {
       args.chunks = chunks;
       args.snapshot = pair_bounds.data() + 2 * lower.size();
     }
-    return backend->FusedSweep(args);
+    return sweeper->FusedSweep(args);
   }
 
   void ResetPairBounds() {
@@ -327,38 +326,18 @@ void BM_BoundSweepFusedGSAudited(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundSweepFusedGSAudited);
 
-void BM_BoundSweepBackendScalar(benchmark::State& state) {
-  // The scalar SweepBackend over the pair-interleaved layout — the
-  // reference implementation behind the unified engine's seam.
+void BM_BoundSweepPairSweeper(benchmark::State& state) {
+  // The engine's FixedPointSweeper over the pair-interleaved layout.
   SweepFixture& f = SharedFixture();
   f.ResetPairBounds();
-  auto backend = MakeSweepBackend(SweepBackendKind::kScalar);
+  FixedPointSweeper sweeper;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.BackendSweep(backend.get()));
+    benchmark::DoNotOptimize(f.PairSweep(&sweeper));
   }
   state.SetItemsProcessed(state.iterations() * f.row_entries);
   state.counters["visited"] = static_cast<double>(f.lower.size());
 }
-BENCHMARK(BM_BoundSweepBackendScalar);
-
-void BM_BoundSweepBackendAvx2(benchmark::State& state) {
-  // The blocked-ELL AVX2 SweepBackend (skipped when the CPU lacks AVX2).
-  if (!Avx2SweepAvailable()) {
-    state.SkipWithError("AVX2 not available");
-    return;
-  }
-  SweepFixture& f = SharedFixture();
-  f.ResetPairBounds();
-  auto backend = MakeSweepBackend(SweepBackendKind::kAvx2);
-  f.BackendSweep(backend.get());  // build the ELL layout outside the loop
-  f.ResetPairBounds();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.BackendSweep(backend.get()));
-  }
-  state.SetItemsProcessed(state.iterations() * f.row_entries);
-  state.counters["visited"] = static_cast<double>(f.lower.size());
-}
-BENCHMARK(BM_BoundSweepBackendAvx2);
+BENCHMARK(BM_BoundSweepPairSweeper);
 
 void BM_FlosExpansionStep(benchmark::State& state) {
   // One LocalExpansion + bound update, amortized over a fresh query each
@@ -461,19 +440,19 @@ double TimeSweeps(SweepFixture* f, SweepKind kind, int sweeps) {
   return ns;
 }
 
-double TimeBackendSweeps(SweepFixture* f, SweepBackend* backend, int sweeps) {
+double TimePairSweeps(SweepFixture* f, FixedPointSweeper* sweeper,
+                      int sweeps) {
   f->ResetPairBounds();
   WallTimer timer;
   double sink = 0;
-  for (int s = 0; s < sweeps; ++s) sink += f->BackendSweep(backend);
+  for (int s = 0; s < sweeps; ++s) sink += f->PairSweep(sweeper);
   const double ns = timer.ElapsedSeconds() * 1e9 / sweeps;
   benchmark::DoNotOptimize(sink);
   return ns;
 }
 
-double TimeParallelBackendSweeps(SweepFixture* f, SweepBackend* backend,
-                                 ThreadPool* pool, uint32_t chunks,
-                                 int sweeps) {
+double TimeParallelPairSweeps(SweepFixture* f, FixedPointSweeper* sweeper,
+                              ThreadPool* pool, uint32_t chunks, int sweeps) {
   f->ResetPairBounds();
   WallTimer timer;
   double sink = 0;
@@ -482,7 +461,7 @@ double TimeParallelBackendSweeps(SweepFixture* f, SweepBackend* backend,
     // The engine refreshes the snapshot half before every parallel sweep;
     // include that copy so the reported speedup is end-to-end honest.
     std::copy_n(f->pair_bounds.data(), live, f->pair_bounds.data() + live);
-    sink += f->BackendSweep(backend, pool, chunks);
+    sink += f->PairSweep(sweeper, pool, chunks);
   }
   const double ns = timer.ElapsedSeconds() * 1e9 / sweeps;
   benchmark::DoNotOptimize(sink);
@@ -492,15 +471,13 @@ double TimeParallelBackendSweeps(SweepFixture* f, SweepBackend* backend,
 // Serial vs block-parallel sweeps at `threads` total sweep threads (pool
 // workers + the caller) on a >= 10k-row visited set over the 1M-node RAND
 // graph — the configuration the acceptance bar (>= 2x at 4 threads) is
-// stated for. Both backends; AVX2 numbers are zero when unavailable.
+// stated for.
 struct ParallelPoint {
   size_t visited = 0;
   uint64_t row_entries = 0;
   int threads = 0;
   double scalar_serial_ns = 0;
   double scalar_parallel_ns = 0;
-  double avx2_serial_ns = 0;
-  double avx2_parallel_ns = 0;
 };
 
 ParallelPoint TimeParallelSweeps(int threads, int sweeps) {
@@ -511,20 +488,12 @@ ParallelPoint TimeParallelSweeps(int threads, int sweeps) {
   p.visited = f.lower.size();
   p.row_entries = f.row_entries;
   p.threads = threads;
-  const auto scalar = MakeSweepBackend(SweepBackendKind::kScalar);
-  TimeBackendSweeps(&f, scalar.get(), sweeps / 8 + 1);
-  p.scalar_serial_ns = TimeBackendSweeps(&f, scalar.get(), sweeps);
-  TimeParallelBackendSweeps(&f, scalar.get(), &pool, chunks, sweeps / 8 + 1);
+  FixedPointSweeper sweeper;
+  TimePairSweeps(&f, &sweeper, sweeps / 8 + 1);
+  p.scalar_serial_ns = TimePairSweeps(&f, &sweeper, sweeps);
+  TimeParallelPairSweeps(&f, &sweeper, &pool, chunks, sweeps / 8 + 1);
   p.scalar_parallel_ns =
-      TimeParallelBackendSweeps(&f, scalar.get(), &pool, chunks, sweeps);
-  if (Avx2SweepAvailable()) {
-    const auto avx2 = MakeSweepBackend(SweepBackendKind::kAvx2);
-    TimeBackendSweeps(&f, avx2.get(), sweeps / 8 + 1);  // includes ELL build
-    p.avx2_serial_ns = TimeBackendSweeps(&f, avx2.get(), sweeps);
-    TimeParallelBackendSweeps(&f, avx2.get(), &pool, chunks, sweeps / 8 + 1);
-    p.avx2_parallel_ns =
-        TimeParallelBackendSweeps(&f, avx2.get(), &pool, chunks, sweeps);
-  }
+      TimeParallelPairSweeps(&f, &sweeper, &pool, chunks, sweeps);
   return p;
 }
 
@@ -580,21 +549,11 @@ void EmitKernelBaseline(const char* path) {
   TimeSweeps(&f, SweepKind::kFusedGs, 50);
   const double fused_ns = TimeSweeps(&f, SweepKind::kFusedGs, 400);
   const double audited_ns = TimeSweeps(&f, SweepKind::kFusedGsAudited, 400);
-  // The SweepBackend seam over the pair-interleaved layout: the scalar
-  // reference backend and (when the CPU has it) the blocked-ELL AVX2
-  // backend, both on the same fixture. simd_speedup compares AVX2 against
-  // the scalar FUSED sweep above — the kernel the engine ran before the
-  // seam existed — which is the acceptance bar for the SIMD backend.
-  const auto scalar_backend = MakeSweepBackend(SweepBackendKind::kScalar);
-  TimeBackendSweeps(&f, scalar_backend.get(), 50);
-  const double scalar_pair_ns =
-      TimeBackendSweeps(&f, scalar_backend.get(), 400);
-  double avx2_ns = 0;
-  if (Avx2SweepAvailable()) {
-    const auto avx2_backend = MakeSweepBackend(SweepBackendKind::kAvx2);
-    TimeBackendSweeps(&f, avx2_backend.get(), 50);  // includes ELL build
-    avx2_ns = TimeBackendSweeps(&f, avx2_backend.get(), 400);
-  }
+  // The engine's FixedPointSweeper over the pair-interleaved layout, on
+  // the same fixture.
+  FixedPointSweeper sweeper;
+  TimePairSweeps(&f, &sweeper, 50);
+  const double scalar_pair_ns = TimePairSweeps(&f, &sweeper, 400);
   const double tol = 1e-8;
   const uint32_t gs_iters = SweepsToConverge(&f, tol);
   const ParallelPoint par = TimeParallelSweeps(/*threads=*/4, /*sweeps=*/200);
@@ -619,17 +578,8 @@ void EmitKernelBaseline(const char* path) {
                audited_ns / fused_ns);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"sweep_backend\": {\n");
-  std::fprintf(out, "    \"scalar_pair_ns_per_sweep\": %.1f,\n",
+  std::fprintf(out, "    \"scalar_pair_ns_per_sweep\": %.1f\n",
                scalar_pair_ns);
-  if (avx2_ns > 0) {
-    std::fprintf(out, "    \"avx2_ell_ns_per_sweep\": %.1f,\n", avx2_ns);
-    std::fprintf(out, "    \"simd_speedup_vs_scalar_fused\": %.3f,\n",
-                 fused_ns / avx2_ns);
-    std::fprintf(out, "    \"simd_speedup_vs_scalar_pair\": %.3f,\n",
-                 scalar_pair_ns / avx2_ns);
-  }
-  std::fprintf(out, "    \"avx2_available\": %s\n",
-               Avx2SweepAvailable() ? "true" : "false");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"parallel_sweep\": {\n");
   std::fprintf(out, "    \"graph\": \"RAND n=%u\",\n", 1u << 20);
@@ -651,14 +601,6 @@ void EmitKernelBaseline(const char* path) {
                par.scalar_parallel_ns);
   std::fprintf(out, "    \"scalar_parallel_speedup\": %.3f,\n",
                par.scalar_serial_ns / par.scalar_parallel_ns);
-  if (par.avx2_parallel_ns > 0) {
-    std::fprintf(out, "    \"avx2_serial_ns_per_sweep\": %.1f,\n",
-                 par.avx2_serial_ns);
-    std::fprintf(out, "    \"avx2_parallel_ns_per_sweep\": %.1f,\n",
-                 par.avx2_parallel_ns);
-    std::fprintf(out, "    \"avx2_parallel_speedup\": %.3f,\n",
-                 par.avx2_serial_ns / par.avx2_parallel_ns);
-  }
   std::fprintf(out, "    \"snapshot_copy_included\": true\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"iterations_to_converge\": {\n");
@@ -678,23 +620,15 @@ void EmitKernelBaseline(const char* path) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("kernel baseline written to %s (audit overhead %.2fx, "
-              "simd speedup %.2fx, parallel sweep %.2fx scalar / %.2fx avx2 "
-              "@%d threads, %u sweeps to converge, RAND %.0f qps, RMAT %.0f "
-              "qps)\n",
+              "parallel sweep %.2fx @%d threads, %u sweeps to converge, "
+              "RAND %.0f qps, RMAT %.0f qps)\n",
               path, audited_ns / fused_ns,
-              avx2_ns > 0 ? fused_ns / avx2_ns : 0.0,
-              par.scalar_serial_ns / par.scalar_parallel_ns,
-              par.avx2_parallel_ns > 0
-                  ? par.avx2_serial_ns / par.avx2_parallel_ns
-                  : 0.0,
-              par.threads, gs_iters, rand_point.qps,
-              rmat_point.qps);
+              par.scalar_serial_ns / par.scalar_parallel_ns, par.threads,
+              gs_iters, rand_point.qps, rmat_point.qps);
 }
 
 // --perf-smoke: the CI guard that block-parallel sweeps never regress
-// below serial. Short run, lenient bar (>= 1.0x on the scalar backend;
-// the AVX2 number is reported but not asserted — on a loaded CI box its
-// shorter serial sweep leaves less room over the synchronization cost).
+// below serial. Short run, lenient bar (>= 1.0x).
 int RunPerfSmoke() {
   // A single-core host cannot run two sweep threads at once: the measured
   // "parallel" time is serial work plus forced context switches, which
@@ -712,11 +646,6 @@ int RunPerfSmoke() {
               p.threads);
   std::printf("  scalar: serial %.0f ns  parallel %.0f ns  speedup %.2fx\n",
               p.scalar_serial_ns, p.scalar_parallel_ns, scalar_speedup);
-  if (p.avx2_parallel_ns > 0) {
-    std::printf("  avx2:   serial %.0f ns  parallel %.0f ns  speedup %.2fx\n",
-                p.avx2_serial_ns, p.avx2_parallel_ns,
-                p.avx2_serial_ns / p.avx2_parallel_ns);
-  }
   if (scalar_speedup < 1.0) {
     std::fprintf(stderr,
                  "perf-smoke FAILED: parallel scalar sweep slower than "

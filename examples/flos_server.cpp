@@ -19,6 +19,7 @@
 // (the router translates global ids).
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -32,6 +33,12 @@
 #include "util/flags.h"
 
 namespace {
+
+// Ranges the integer flags are checked against before they are narrowed
+// to the option types: thread counts beyond this are a typo, and a queue
+// cap this large already admits far more frames than fit in memory.
+constexpr int64_t kMaxThreadsFlag = 1024;
+constexpr int64_t kMaxQueueFlag = int64_t{1} << 20;
 
 flos::ServiceServer* g_server = nullptr;
 
@@ -63,15 +70,17 @@ int Run(int argc, char** argv) {
   flags.AddString("shard-edges", &shard_edges_path,
                   "shard edge list (default: --shard-map with .edges)");
   flags.AddString("host", &host, "address to bind");
-  flags.AddInt("port", &port, "TCP port (0 = ephemeral, printed on start)");
-  flags.AddInt("workers", &workers, "query worker threads");
-  flags.AddInt("max-queue", &max_queue,
+  flags.AddInt("port", &port, 0, 65535,
+               "TCP port (0 = ephemeral, printed on start)");
+  flags.AddInt("workers", &workers, 1, kMaxThreadsFlag,
+               "query worker threads");
+  flags.AddInt("max-queue", &max_queue, 1, kMaxQueueFlag,
                "admission-control queue cap (overloaded beyond this)");
   flags.AddInt("query-cache", &query_cache,
                "certified-result cache entries (0 = disable)");
   flags.AddInt("subgraph-cache", &subgraph_cache,
                "warm expanded-subgraph cache entries (0 = disable)");
-  flags.AddInt("sweep-threads", &sweep_threads,
+  flags.AddInt("sweep-threads", &sweep_threads, 1, kMaxThreadsFlag,
                "threads per query for parallel bound sweeps (1 = serial)");
   flags.AddInt("synthetic-nodes", &synthetic_nodes,
                "R-MAT size when --graph is not given");

@@ -10,6 +10,7 @@
 // --forward-shutdown also shuts the backend fleet down on exit.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -20,6 +21,12 @@
 #include "util/flags.h"
 
 namespace {
+
+// Ranges the integer flags are checked against before they are narrowed
+// to the option types: thread counts beyond this are a typo, and a queue
+// cap this large already admits far more frames than fit in memory.
+constexpr int64_t kMaxThreadsFlag = 1024;
+constexpr int64_t kMaxQueueFlag = int64_t{1} << 20;
 
 flos::ShardRouter* g_router = nullptr;
 
@@ -76,14 +83,15 @@ int Run(int argc, char** argv) {
   int64_t max_queue = 256;
   bool forward_shutdown = false;
   flags.AddString("host", &host, "address to bind");
-  flags.AddInt("port", &port, "TCP port (0 = ephemeral, printed on start)");
+  flags.AddInt("port", &port, 0, 65535,
+               "TCP port (0 = ephemeral, printed on start)");
   flags.AddString("maps", &maps_dir,
                   "directory holding shard<i>.map files (flos_partition)");
   flags.AddString("shards", &shards_spec,
                   "comma-separated host:port, one per shard, in shard order");
-  flags.AddInt("workers", &workers,
+  flags.AddInt("workers", &workers, 1, kMaxThreadsFlag,
                "router worker threads (backend connections per shard)");
-  flags.AddInt("max-queue", &max_queue,
+  flags.AddInt("max-queue", &max_queue, 1, kMaxQueueFlag,
                "admission-control queue cap (overloaded beyond this)");
   flags.AddBool("forward-shutdown", &forward_shutdown,
                 "shut the backend servers down when the router exits");

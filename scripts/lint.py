@@ -37,11 +37,11 @@ Enforced policy (see DESIGN.md "Correctness tooling & invariant policy"):
                   `// lint:allow(no-raw-mmap) <reason>`.
   no-raw-intrinsics
                   x86 SIMD intrinsics (`_mm*`, `__m128/256/512` vector
-                  types, `<immintrin.h>`) are banned everywhere except the
-                  src/core/sweep_backend* translation units, so every
-                  target-specific code path sits behind the SweepBackend
-                  seam with its runtime dispatch and scalar parity twin.
-                  A deliberate exception carries
+                  types, `<immintrin.h>`) are banned everywhere: the tree
+                  is portable C++ that one generic binary runs on any
+                  x86-64 (or other) CPU, with no runtime dispatch, and
+                  vectorization is left to the compiler. A deliberate
+                  exception carries
                   `// lint:allow(no-raw-intrinsics) <reason>`.
   no-raw-mutex    raw standard locking primitives (`std::mutex` and
                   friends, `std::lock_guard`/`std::unique_lock`/...,
@@ -164,9 +164,8 @@ TOKEN_RULES_MUTEX = [
 ]
 
 
-# Applied everywhere EXCEPT src/core/sweep_backend_avx2.cc, the one TU
-# allowed to speak AVX2. Catches the intrinsic calls, the vector types,
-# and the header include, so a second SIMD island cannot grow silently.
+# Applied everywhere. Catches the intrinsic calls, the vector types, and
+# the header include, so no SIMD island can grow silently.
 TOKEN_RULES_INTRINSICS = [
     (
         "no-raw-intrinsics",
@@ -174,9 +173,8 @@ TOKEN_RULES_INTRINSICS = [
             r"(^|[^\w])_mm\d*_\w+\s*\(|__m(128|256|512)[a-z]*\b|"
             r"#\s*include\s*<(imm|emm|xmm|smm|avx)\w*intrin\.h>"
         ),
-        "raw SIMD intrinsic; implement a SweepBackend in "
-        "core/sweep_backend_avx2.cc (runtime-dispatched, scalar-paritied) "
-        "or annotate a deliberate exception with "
+        "raw SIMD intrinsic; write portable C++ the compiler can "
+        "vectorize, or annotate a deliberate exception with "
         "lint:allow(no-raw-intrinsics)",
     ),
 ]
@@ -301,8 +299,7 @@ def lint_file(path, root, findings, suppressions):
         rules += TOKEN_RULES_EVERYWHERE
     if "service/net_io" not in path.as_posix():
         rules += TOKEN_RULES_SOCKETS
-    if "core/sweep_backend" not in path.as_posix():
-        rules += TOKEN_RULES_INTRINSICS
+    rules += TOKEN_RULES_INTRINSICS
     if "util/mutex" not in path.as_posix():
         rules += TOKEN_RULES_MUTEX
     if "util/huge_page_allocator.h" not in path.as_posix():

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/predicate.h"
-#include "core/sweep_kernel.h"
 #include "graph/accessor.h"
 #include "graph/graph.h"
 #include "graph/labels.h"
@@ -41,7 +40,8 @@ struct FlosOptions {
   double c = 0.5;
   /// Truncation length for THT.
   int tht_length = 10;
-  /// Inner-iteration threshold tau (Algorithm 7).
+  /// Inner-iteration threshold tau (Algorithm 7): a bound update stops on
+  /// the first sweep that moves no bound by tau or more.
   double tolerance = 1e-5;
   /// Tolerance of the final solve when the component is exhausted.
   double final_tolerance = 1e-12;
@@ -58,10 +58,6 @@ struct FlosOptions {
   /// the search may visit slightly more nodes in exchange for far fewer
   /// O(edges(S)) bound solves. The ablation bench quantifies the trade.
   uint32_t expansion_batch = 0;
-  /// Which kernel implementation runs the fixed-point inner solves
-  /// (core/sweep_kernel.h). kAuto picks the AVX2 blocked-ELL backend when
-  /// the CPU supports it, the scalar reference kernel otherwise.
-  SweepBackendKind sweep_backend = SweepBackendKind::kAuto;
   /// Worker threads for intra-query parallel bound sweeps (block-Jacobi
   /// across contiguous row chunks, Gauss–Seidel within — see
   /// core/sweep_kernel.h). 1 = serial (default). With t > 1 the engine

@@ -8,6 +8,53 @@
 
 namespace flos {
 
+namespace {
+
+using FrontierEntry = std::pair<double, LocalId>;
+
+// The expansion order is total: priority descending, then local id (visit
+// order) ascending. Equal priorities are common on symmetric
+// neighborhoods; the tie-break keeps the schedule, and so every visit
+// count, independent of how the order is computed.
+bool ExpandsBefore(const FrontierEntry& a, const FrontierEntry& b) {
+  return a.first != b.first ? a.first > b.first : a.second < b.second;
+}
+
+// Fills `batch`, best first, with the `size` entries of `frontier` that
+// expand first among those ordered strictly after `after` (all entries when
+// `after` is null). One pass over the frontier through a heap of at most
+// `size` entries whose top is the latest-expanding entry kept so far.
+void SelectBatch(const std::vector<FrontierEntry>& frontier,
+                 const FrontierEntry* after, size_t size,
+                 std::vector<FrontierEntry>* batch) {
+  batch->clear();
+  for (const FrontierEntry& e : frontier) {
+    if (after != nullptr && !ExpandsBefore(*after, e)) continue;
+    if (batch->size() < size) {
+      batch->push_back(e);
+      std::push_heap(batch->begin(), batch->end(), ExpandsBefore);
+      continue;
+    }
+    if (!ExpandsBefore(e, batch->front())) continue;
+    // e replaces the top; sift it down past every child that expands
+    // later (one pass, where pop_heap + push_heap would take two).
+    FrontierEntry* const heap = batch->data();
+    size_t i = 0;
+    for (size_t child = 1; child < size; child = 2 * i + 1) {
+      if (child + 1 < size && ExpandsBefore(heap[child], heap[child + 1])) {
+        ++child;
+      }
+      if (!ExpandsBefore(e, heap[child])) break;
+      heap[i] = heap[child];
+      i = child;
+    }
+    heap[i] = e;
+  }
+  std::sort_heap(batch->begin(), batch->end(), ExpandsBefore);
+}
+
+}  // namespace
+
 FlosEngine::FlosEngine(GraphAccessor* accessor)
     : accessor_(accessor),
       local_(accessor),
@@ -157,7 +204,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     ub.tolerance = options.tolerance;
     ub.max_inner_iterations = options.max_inner_iterations;
     ub.self_loop_tightening = options.self_loop_tightening;
-    ub.backend = options.sweep_backend;
     ub.sweep_pool = sweep_pool_.get();
     ub.parallel_min_rows = options.sweep_parallel_min_rows;
     ub.deadline = options.deadline;
@@ -349,6 +395,7 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
   // Main loop (Algorithm 2, with optional batched LocalExpansion).
   bool certified = false;
   bool expired = false;
+  size_t last_expanded = 0;  // expansions in the previous outer iteration
   // A warm-subgraph hit restored a state that certified once before, so
   // for a k it can already prove the loop below never runs: check first.
   if (warm_hit) {
@@ -400,14 +447,13 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
       break;
     }
     // Only a handful of the boundary gets expanded per outer iteration, so
-    // select from a heap instead of sorting it all. The order is total:
-    // priority descending, then local id (visit order) ascending. Equal
-    // priorities are common on symmetric neighborhoods; the tie-break keeps
-    // the schedule, and so every visit count, independent of the heap.
-    const auto expands_later = [](const auto& a, const auto& b) {
-      return a.first != b.first ? a.first < b.first : a.second > b.second;
-    };
-    std::make_heap(frontier_.begin(), frontier_.end(), expands_later);
+    // rank only the next batch of it (ExpandsBefore order), sized from the
+    // previous iteration's expansion count. An exhausted full batch is
+    // followed by the next, four times larger, from the entries after its
+    // last one, so the expansion sequence is the full sort's prefix.
+    size_t batch_size = std::max<size_t>(16, 2 * last_expanded);
+    SelectBatch(frontier_, nullptr, batch_size, &batch_);
+    size_t next = 0;
     // Adaptive mode targets ~12.5% growth of |S| per bound update, so the
     // number of O(edges(S)) updates stays logarithmic in the visited count
     // while overshoot past the certification point stays small.
@@ -418,10 +464,8 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
 
     bounds_.CaptureDummyFromBoundary();  // r_d from the previous delta-S
     size_t expanded = 0;
-    while (!frontier_.empty()) {
-      std::pop_heap(frontier_.begin(), frontier_.end(), expands_later);
-      const LocalId node = frontier_.back().second;
-      frontier_.pop_back();
+    while (next < batch_.size()) {
+      const LocalId node = batch_[next++].second;
       FLOS_ASSIGN_OR_RETURN(const uint32_t added, local_.Expand(node));
       (void)added;
       ++stats.expansions;
@@ -438,7 +482,15 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
         expired = true;
         break;
       }
+      // A short batch held every remaining entry; a full one may not.
+      if (next == batch_.size() && batch_.size() == batch_size) {
+        const FrontierEntry last = batch_.back();
+        batch_size *= 4;
+        SelectBatch(frontier_, &last, batch_size, &batch_);
+        next = 0;
+      }
     }
+    last_expanded = expanded;
     // Even on an expired deadline the freshly expanded nodes need their
     // bound slots (OnGrowth seeds them with the trivially valid [0, 1] /
     // [0, L] intervals); the update after it is deadline-aware and exits

@@ -112,9 +112,12 @@ class FlosEngine {
   std::vector<Candidate> interior_;
   std::vector<Candidate> selected_;
   std::vector<Candidate> pool_;
-  /// (priority, local id) of each expandable boundary node, kept as a heap
-  /// during an outer iteration's expansions.
+  /// (priority, local id) of each expandable boundary node at the start of
+  /// an outer iteration, in boundary scan order.
   std::vector<std::pair<double, LocalId>> frontier_;
+  /// The frontier entries next in expansion order, best first: the batch
+  /// the current outer iteration is expanding from.
+  std::vector<std::pair<double, LocalId>> batch_;
   /// Filtered queries: match_[local] == 1 iff the node satisfies the
   /// request predicate. Filled incrementally (local ids are append-only
   /// within a query); empty and unused for unfiltered queries.

@@ -17,13 +17,13 @@
 // In-place (Gauss–Seidel) use is sound for the monotone bound operators:
 // if every input value is a certified bound, any mixture of old and
 // already-updated values still is, so the body may write through the same
-// vectors it reads (see bound_engine.cc for the full argument).
+// vectors it reads (see core/unified_bound_engine.h for the full argument).
 
 #ifndef FLOS_CORE_SWEEP_KERNEL_H_
 #define FLOS_CORE_SWEEP_KERNEL_H_
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "core/local_graph.h"
 #include "util/check.h"
@@ -103,31 +103,35 @@ inline void FusedPairRowSweep(const LocalGraph& local, const double* bounds,
 }
 
 // ---------------------------------------------------------------------------
-// SweepBackend: the pluggable inner-sweep kernel seam.
+// FixedPointSweeper: the fixed-point inner sweep.
 //
-// A backend executes ONE whole fixed-point sweep (both bounds fused, or the
-// lower system alone) over the pair-layout bound vector, applying the
-// engine's monotone clamp rules per row, and returns the largest
+// One whole fused Gauss–Seidel sweep (both bounds, or the lower system
+// alone) over the pair-layout bound vector, rows in visit order, with the
+// engine's monotone clamps applied per row; it returns the largest
 // elementwise movement. Convergence policy, deadline checks, audit
-// snapshots and coefficient maintenance stay in the engine — the backend is
-// purely the O(edges(S)) hot loop, which is what makes an ISA-specialized
-// implementation (sweep_backend_avx2.cc) drop-in safe:
+// snapshots and coefficient maintenance stay in the engine — this is
+// purely the O(edges(S)) hot loop. Each row must still tighten
+// monotonically (the clamps are part of the contract, not an
+// optimization).
 //
-//  * validity does not depend on the update ORDER — for the monotone bound
-//    operators any mixture of old and updated values is certified and no
-//    looser than the Jacobi iterate (see core/unified_bound_engine.h), so a
-//    backend may reorder or block rows for SIMD;
-//  * each backend must still tighten monotonically per row (the clamps are
-//    part of the contract, not an optimization).
-//
-// The THT finite-horizon DP is NOT behind this seam: its Jacobi double
-// buffer must be evaluated bit-exactly per horizon step (tests pin the DP
-// against a reference recursion with exact equality), so it always runs the
-// scalar FusedRowSweep path.
+// The THT finite-horizon DP does not run here: its Jacobi double buffer
+// must be evaluated bit-exactly per horizon step (tests pin the DP against
+// a reference recursion with exact equality), so it runs FusedRowSweep.
 
-/// Which sweep backend to use. kAuto resolves to kAvx2 when the CPU
-/// supports it, else kScalar.
-enum class SweepBackendKind { kAuto, kScalar, kAvx2 };
+/// Kept so callers that print the sweep kernel's name keep compiling: the
+/// scalar fused Gauss–Seidel kernel is the only one, and kAuto resolves
+/// to it.
+enum class SweepBackendKind { kAuto, kScalar };
+
+/// Resolves kAuto to kScalar, the only kernel.
+inline SweepBackendKind ResolveSweepBackendKind(SweepBackendKind /*kind*/) {
+  return SweepBackendKind::kScalar;
+}
+
+/// Human-readable kind name ("auto", "scalar").
+inline const char* SweepBackendKindName(SweepBackendKind kind) {
+  return kind == SweepBackendKind::kAuto ? "auto" : "scalar";
+}
 
 /// Inputs of one fixed-point sweep. Arrays are indexed by LocalId and sized
 /// to local->Size(); `bounds` is the interleaved (lower, upper) vector.
@@ -152,68 +156,76 @@ struct FixedPointSweepArgs {
   // -------------------------------------------------------------------------
   // Intra-sweep parallelism (block-Jacobi-across / Gauss–Seidel-within).
   //
-  // When `pool` is non-null and `chunks > 1`, the backend partitions the
+  // When `pool` is non-null and `chunks > 1`, the sweeper partitions the
   // non-query rows into `chunks` contiguous LocalId ranges (balanced by row
   // entry counts) and runs them concurrently: `chunks - 1` ranges on the
   // pool's workers, one on the calling thread. Within its range a chunk
   // still updates in place (Gauss–Seidel: reads of OWN-range columns see
   // this sweep's already-committed values), but every read of ANOTHER
   // chunk's column comes from `snapshot` — an immutable copy of the bounds
-  // the caller takes immediately before each sweep. Soundness is the same
-  // monotone-mixture argument that justifies reordering (see
-  // core/unified_bound_engine.h): snapshot values are the previous sweep's
-  // certified bounds, own-range values are newer certified bounds, and any
-  // mixture fed to the monotone row operators yields certified bounds again
-  // that are elementwise no looser than the Jacobi iterate from the
-  // snapshot. The partition is a pure function of the CSR structure and
-  // `chunks`, and cross-chunk reads never touch live data, so the result is
-  // DETERMINISTIC regardless of thread scheduling — and race-free: each
-  // chunk writes only its own bound range and delta slot.
+  // the caller takes immediately before each sweep. Soundness is the
+  // monotone-mixture argument (see core/unified_bound_engine.h): snapshot
+  // values are the previous sweep's certified bounds, own-range values are
+  // newer certified bounds, and any mixture fed to the monotone row
+  // operators yields certified bounds again that are elementwise no looser
+  // than the Jacobi iterate from the snapshot. The partition is a pure
+  // function of the CSR structure and `chunks`, and cross-chunk reads never
+  // touch live data, so the result is DETERMINISTIC regardless of thread
+  // scheduling — and race-free: each chunk writes only its own bound range
+  // and delta slot.
   //
-  // Layout contract: `snapshot` MUST point at `bounds + 2 * local->Size()`
-  // inside the same allocation (the engine sizes its bound vector to 4n
-  // when a pool is attached). The AVX2 backend relies on the fixed +2n
-  // offset: cross-chunk column indexes are rebased into the snapshot half
-  // at ELL pack time, so one gather base pointer serves both halves.
+  // Layout contract: `snapshot` is a copy of the live pairs [0, 2n) (the
+  // engine keeps it at `bounds + 2 * local->Size()`, sizing its bound
+  // vector to 4n when a pool is attached).
   ThreadPool* pool = nullptr;
   uint32_t chunks = 1;
   const double* snapshot = nullptr;
 };
 
-/// One sweep-kernel implementation. Thread-compatible; one instance per
-/// engine (backends may cache a derived layout of the local CSR).
-class SweepBackend {
+/// The scalar fused Gauss–Seidel sweep kernel, serial or chunked-parallel.
+/// Thread-compatible; one instance per engine (it caches the parallel row
+/// partition of the local CSR).
+class FixedPointSweeper {
  public:
-  virtual ~SweepBackend() = default;
-
-  /// Stable identifier for stats/bench output ("scalar", "avx2").
-  virtual const char* name() const = 0;
-
-  /// The local CSR's structure or weights changed (growth); any cached
-  /// derived layout must be rebuilt before the next sweep.
-  virtual void InvalidateStructure() = 0;
+  /// The local CSR's structure or weights changed (growth); the cached
+  /// parallel partition must be rebuilt before the next parallel sweep.
+  void InvalidateStructure() { partition_chunks_ = 0; }
 
   /// One fused Gauss–Seidel sweep updating both bounds in place. Returns
   /// the largest elementwise movement (max over lower raises and upper
   /// drops).
-  virtual double FusedSweep(const FixedPointSweepArgs& args) = 0;
+  double FusedSweep(const FixedPointSweepArgs& args);
 
   /// One lower-only sweep (UpdateLowerOnly / FinalizeExhausted).
-  virtual double LowerSweep(const FixedPointSweepArgs& args) = 0;
+  double LowerSweep(const FixedPointSweepArgs& args);
+
+ private:
+  /// Cache-line-padded per-chunk delta slot (no false sharing on commit).
+  struct alignas(64) PaddedDelta {
+    double value = 0;
+  };
+
+  bool UseParallel(const FixedPointSweepArgs& args) const;
+
+  /// Cuts the non-query rows [query_count, n) into `chunks` contiguous
+  /// ranges with roughly equal entry counts. Recomputed when the structure
+  /// or the requested chunk count changes.
+  void BuildPartition(const LocalGraph& local, uint32_t chunks);
+
+  template <bool lower_only>
+  double ParallelSweep(const FixedPointSweepArgs& args);
+
+  /// One chunk's Gauss–Seidel pass over rows [begin, end): own-range
+  /// columns read the live (already updated this sweep) bounds, every
+  /// other column reads the immutable pre-sweep snapshot.
+  template <bool lower_only>
+  void SweepChunk(const FixedPointSweepArgs& args, LocalId begin, LocalId end,
+                  double* delta_out) const;
+
+  std::vector<LocalId> chunk_begin_;  ///< partition cuts (chunks + 1)
+  uint32_t partition_chunks_ = 0;     ///< 0 = partition is stale
+  std::vector<PaddedDelta> deltas_;
 };
-
-/// True iff this CPU can run the AVX2 backend.
-bool Avx2SweepAvailable();
-
-/// Resolves kAuto to a concrete kind for this CPU.
-SweepBackendKind ResolveSweepBackendKind(SweepBackendKind kind);
-
-/// Human-readable kind name ("auto", "scalar", "avx2").
-const char* SweepBackendKindName(SweepBackendKind kind);
-
-/// Constructs the backend for `kind` (kAuto resolves per CPU). Requesting
-/// kAvx2 on a CPU without AVX2 falls back to scalar.
-std::unique_ptr<SweepBackend> MakeSweepBackend(SweepBackendKind kind);
 
 }  // namespace flos
 

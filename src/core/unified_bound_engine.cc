@@ -27,12 +27,7 @@ UnifiedBoundEngine::UnifiedBoundEngine(LocalGraph* local,
 
 void UnifiedBoundEngine::Reset(const UnifiedBoundOptions& options) {
   options_ = options;
-  const SweepBackendKind resolved = ResolveSweepBackendKind(options.backend);
-  if (!backend_ || resolved != backend_kind_) {
-    backend_ = MakeSweepBackend(resolved);
-    backend_kind_ = resolved;
-  }
-  backend_->InvalidateStructure();
+  sweeper_.InvalidateStructure();
   deadline_hit_ = false;
   nodes_ = 0;
   bounds_.clear();
@@ -83,9 +78,9 @@ void UnifiedBoundEngine::OnGrowth() {
       bounds_[2 * static_cast<size_t>(q) + 1] = 0.0;
     }
   }
-  // Growth changes row structure and weights (edges into the new nodes are
-  // appended to existing rows), so any backend-cached layout is stale.
-  backend_->InvalidateStructure();
+  // Growth changes row structure (edges into the new nodes are appended to
+  // existing rows), so the cached parallel row partition is stale.
+  sweeper_.InvalidateStructure();
 }
 
 void UnifiedBoundEngine::CaptureDummyFromBoundary() {
@@ -148,8 +143,8 @@ void UnifiedBoundEngine::AuditNoLooserThanJacobi(
     const std::vector<double>& prev, bool lower_only) const {
   // Jacobi-iterate floor: one scalar clamped row update evaluated entirely
   // on `prev` (the bounds as they stood before the sweep). The slack
-  // absorbs fp reassociation between this reference evaluation and the
-  // backend's (SIMD lockstep, chunked) one.
+  // absorbs fp differences between this reference evaluation and the
+  // sweep's (in-place, chunked) one.
   constexpr double kJacobiSlack = 1e-9;
   const double* const p = prev.data();
   FusedPairRowSweep(*local_, p, [&](LocalId i, double s_lo, double s_hi) {
@@ -297,7 +292,7 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
   FixedPointSweepArgs args = SweepArgs();
   // Adaptive parallel selection: a pure function of the visited size, so
   // the choice is stable for a fixed structure (it can only flip at
-  // growth, which also invalidates the backend layout).
+  // growth, which also invalidates the row partition).
   const bool parallel =
       options_.sweep_pool != nullptr &&
       nodes_ >= std::max<uint32_t>(options_.parallel_min_rows, 2);
@@ -318,18 +313,18 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
     audit_prev = bounds_;
   }
   while (iters < options_.max_inner_iterations) {
-    // Amortized convergence checks: warm-started solves converge within a
-    // sweep or two, so check every sweep early; long cold solves check
-    // every fourth sweep.
-    const bool check = iters < 4 || (iters & 3) == 3 ||
-                       iters + 1 == options_.max_inner_iterations;
+    // Every sweep returns its movement, so convergence is tested on every
+    // sweep. The deadline clock is read after the first four sweeps (warm
+    // starts converge within a sweep or two) and then every fourth, which
+    // keeps long cold solves nearly free of clock reads.
+    const bool read_clock = has_deadline && (iters < 4 || (iters & 3) == 3);
     // Parallel sweeps read cross-chunk columns from an immutable pre-sweep
     // snapshot: refresh it (the one per-sweep copy this design pays).
     if (parallel) {
       std::copy_n(bounds_.data(), 2 * nodes_, bounds_.data() + 2 * nodes_);
     }
-    const double delta = lower_only ? backend_->LowerSweep(args)
-                                    : backend_->FusedSweep(args);
+    const double delta = lower_only ? sweeper_.LowerSweep(args)
+                                    : sweeper_.FusedSweep(args);
     ++iters;
     FLOS_AUDIT_SCOPE {
       // Certified bounds only ever tighten: the in-place updates clamp
@@ -344,19 +339,17 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
                         "upper bound loosened across a sweep");
         }
       }
-      // Every sweep — serial Gauss–Seidel, SIMD-reordered, or parallel
-      // block — must land at least as tight as one Jacobi step from the
-      // pre-sweep state (the monotone-mixture floor).
+      // Every sweep — serial Gauss–Seidel or parallel block — must land
+      // at least as tight as one Jacobi step from the pre-sweep state (the
+      // monotone-mixture floor).
       AuditNoLooserThanJacobi(audit_prev, lower_only);
       AuditBoundSandwich("sandwich violated after a fused sweep");
       audit_prev = bounds_;
     }
-    if (check && delta < tolerance) break;
+    if (delta < tolerance) break;
     // Anytime termination: each completed sweep is a certified bound state,
-    // so stopping here (at the amortized checkpoints, to keep the hot loop
-    // free of clock reads) leaves valid — merely looser — bounds.
-    if (check && has_deadline &&
-        std::chrono::steady_clock::now() >= options_.deadline) {
+    // so stopping here leaves valid — merely looser — bounds.
+    if (read_clock && std::chrono::steady_clock::now() >= options_.deadline) {
       deadline_hit_ = true;
       break;
     }
@@ -390,7 +383,7 @@ void UnifiedBoundEngine::HorizonDpUpdate() {
   // out-of-S transition mass comes from the maintained row in-mass (no
   // per-update O(edges) rescans). Degree-0 nodes can never hit q; their
   // value saturates at L. Bit-exact scalar evaluation is part of the DP's
-  // test contract, so this path stays off the SweepBackend seam.
+  // test contract, so this path does not use the FixedPointSweeper.
   for (int t = 1; t <= length; ++t) {
     // Anytime hook: the horizon recursion is only a valid THT bound once
     // all L steps ran, so an expired deadline abandons the recompute and
@@ -505,10 +498,6 @@ void UnifiedBoundEngine::RestoreBounds(const double* data, size_t nodes,
   std::copy_n(data, 2 * nodes, bounds_.data());
   dummy_mesh_ = dummy_mesh;
   dummy_tight_ = dummy_tight;
-  // The restored values replace whatever the fresh seed wrote; any
-  // backend-cached layout keyed to value-independent structure is still
-  // fine, but invalidate anyway so a warm start never trusts stale state.
-  backend_->InvalidateStructure();
   FLOS_AUDIT_SCOPE {
     AuditBoundSandwich("restored bounds violate the sandwich");
   }

@@ -20,9 +20,8 @@
 //    self-loop variant additionally splits the dummy mass per Lemma 4.
 //  * Inner solve: warm-started fused Gauss–Seidel sweeps — each sweep
 //    computes both bounds' dot products in ONE scan of the local CSR and
-//    updates them in place. The hot loop runs behind the SweepBackend seam
-//    (core/sweep_kernel.h): a scalar reference kernel and a blocked-ELL
-//    AVX2 kernel, runtime-dispatched.
+//    updates them in place (FixedPointSweeper, core/sweep_kernel.h). The
+//    solve stops on the first sweep whose movement falls below tau.
 //
 // Validity under inexact, in-place, REORDERED solves: the true proximity
 // vector is a supersolution of the lower system and a subsolution of the
@@ -31,10 +30,11 @@
 // bounds — yields a certified bound again; newer values are tighter, so
 // the result is also elementwise at least as tight as the Jacobi iterate
 // after the same number of sweeps, REGARDLESS of the order rows are
-// visited in. That is what lets a backend reorder rows for SIMD without
-// touching certification. Bounds are additionally clamped elementwise
-// against their previous values, keeping them monotone across outer
-// iterations (Section 5.2) even in floating point.
+// visited in. That is what lets the parallel sweep update row chunks
+// against a pre-sweep snapshot without touching certification. Bounds are
+// additionally clamped elementwise against their previous values, keeping
+// them monotone across outer iterations (Section 5.2) even in floating
+// point.
 //
 // Horizon-DP family (THT, Appendix 10.4): both bounds are exact L-step DP
 // solves of modified systems on S — walks escaping S continue with
@@ -42,8 +42,8 @@
 // and with the full remaining horizon for the upper. The recursion needs
 // the step-(t-1) values on the right-hand side, so the DP keeps a Jacobi
 // double buffer evaluated by the scalar fused scan (in-place or reordered
-// evaluation would mix horizons and is NOT valid here); the SweepBackend
-// seam deliberately does not cover it.
+// evaluation would mix horizons and is NOT valid here); the
+// FixedPointSweeper deliberately does not cover it.
 //
 // Storage: bounds live interleaved — bounds_[2i] = lower_i,
 // bounds_[2i+1] = upper_i — so each random column access in a sweep
@@ -54,7 +54,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/local_graph.h"
@@ -79,12 +78,10 @@ struct UnifiedBoundOptions {
   /// unvisited nodes) and the alpha^hop-distance cap. Rigorous; see
   /// CaptureDummyFromBoundary. Off reproduces Algorithm 5 line 7 verbatim.
   bool alpha_dummy_tightening = true;
-  /// Which sweep-kernel implementation runs the fixed-point hot loop.
-  SweepBackendKind backend = SweepBackendKind::kAuto;
   /// Worker team for intra-sweep parallelism (block-Jacobi across
   /// contiguous row chunks, Gauss–Seidel within; see FixedPointSweepArgs).
   /// The pool must be DEDICATED to this engine while a solve runs — the
-  /// backend uses ThreadPool::Wait as its sweep barrier. nullptr = serial.
+  /// sweeper uses ThreadPool::Wait as its sweep barrier. nullptr = serial.
   /// Not used by the horizon-DP family (its Jacobi double buffer is pinned
   /// to bit-exact scalar evaluation).
   ThreadPool* sweep_pool = nullptr;
@@ -94,11 +91,13 @@ struct UnifiedBoundOptions {
   /// so it can only flip at growth — never mid-structure.
   uint32_t parallel_min_rows = 4096;
   /// Anytime hook: solves stop between sweeps once this instant passes
-  /// (checked at the amortized convergence checkpoints). Every completed
-  /// fixed-point sweep leaves certified bounds, so an interrupted solve is
-  /// valid — just looser. A deadline mid-DP abandons the recompute WITHOUT
-  /// committing (a partial horizon recursion is not a valid THT bound).
-  /// `deadline_hit()` reports the interruption. Default: no deadline.
+  /// (the clock is read after sweeps 1–4 and every fourth sweep after
+  /// that, keeping the hot loop nearly free of clock reads). Every
+  /// completed fixed-point sweep leaves certified bounds, so an interrupted
+  /// solve is valid — just looser. A deadline mid-DP abandons the
+  /// recompute WITHOUT committing (a partial horizon recursion is not a
+  /// valid THT bound). `deadline_hit()` reports the interruption.
+  /// Default: no deadline.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
 };
@@ -158,9 +157,6 @@ class UnifiedBoundEngine {
 
   BoundFamily family() const { return options_.traits.family; }
 
-  /// Name of the sweep backend actually running the fixed-point hot loop.
-  const char* backend_name() const { return backend_->name(); }
-
   /// The Algorithm-5 dummy value (max boundary upper, non-increasing).
   double dummy_value() const { return dummy_mesh_; }
 
@@ -215,7 +211,7 @@ class UnifiedBoundEngine {
   /// is the warm-start entry: call after Reset() + the LocalGraph restore,
   /// so Size() matches the saved state). The dummies are restored too —
   /// they are non-increasing across a query, so resuming from them is
-  /// sound. Invalidates any backend-cached layout.
+  /// sound.
   void RestoreBounds(const double* data, size_t nodes, double dummy_mesh,
                      double dummy_tight);
 
@@ -236,8 +232,8 @@ class UnifiedBoundEngine {
 
   /// Audit tier: recomputes the clamped Jacobi iterate from `prev` with the
   /// scalar row operator and aborts if any live bound is looser than it —
-  /// the tightness floor every sweep (serial Gauss–Seidel, reordered SIMD,
-  /// parallel block) must clear by the monotone-mixture argument.
+  /// the tightness floor every sweep (serial Gauss–Seidel or parallel
+  /// block) must clear by the monotone-mixture argument.
   void AuditNoLooserThanJacobi(const std::vector<double>& prev,
                                bool lower_only) const;
 
@@ -251,12 +247,10 @@ class UnifiedBoundEngine {
   /// degree, and aborts unless the maintained masses match within 1e-12.
   void AuditBoundaryMasses(LocalId i);
 
-  /// The fused Gauss–Seidel solve (fixed point): one backend sweep per
-  /// iteration updates both bounds (or only the lower when `lower_only`),
-  /// in place, stopping once the largest elementwise movement of a checked
-  /// sweep drops below `tolerance`. Convergence checks are amortized:
-  /// every sweep for the first few (warm starts converge immediately),
-  /// then every fourth.
+  /// The fused Gauss–Seidel solve (fixed point): one sweep per iteration
+  /// updates both bounds (or only the lower when `lower_only`), in place,
+  /// stopping on the first sweep whose largest elementwise movement drops
+  /// below `tolerance`, or on the deadline (see UnifiedBoundOptions).
   uint32_t FusedSolve(double tolerance, bool lower_only);
 
   /// The horizon-DP recompute (THT): fresh L-step Jacobi double-buffer
@@ -268,8 +262,7 @@ class UnifiedBoundEngine {
 
   LocalGraph* local_;
   UnifiedBoundOptions options_;
-  std::unique_ptr<SweepBackend> backend_;
-  SweepBackendKind backend_kind_ = SweepBackendKind::kAuto;
+  FixedPointSweeper sweeper_;
   /// Number of live nodes (== local_->Size() after OnGrowth). bounds_ may
   /// hold MORE than 2 * nodes_ doubles — with a sweep pool attached it is
   /// sized 4n so [2n, 4n) can hold the per-sweep snapshot — so node counts

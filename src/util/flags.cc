@@ -14,7 +14,14 @@ std::string BoolRepr(bool b) { return b ? "true" : "false"; }
 
 void FlagParser::AddInt(const std::string& name, int64_t* target,
                         const std::string& help) {
-  flags_.push_back({name, Type::kInt, target, help, std::to_string(*target)});
+  AddInt(name, target, INT64_MIN, INT64_MAX, help);
+}
+
+void FlagParser::AddInt(const std::string& name, int64_t* target,
+                        int64_t min_value, int64_t max_value,
+                        const std::string& help) {
+  flags_.push_back({name, Type::kInt, target, help, std::to_string(*target),
+                    min_value, max_value});
 }
 
 void FlagParser::AddDouble(const std::string& name, double* target,
@@ -54,6 +61,12 @@ Status FlagParser::SetValue(const Flag& flag, const std::string& value) {
         return Status::InvalidArgument("flag --" + flag.name +
                                        ": integer out of range: '" + value +
                                        "'");
+      }
+      if (v < flag.min_value || v > flag.max_value) {
+        return Status::InvalidArgument(
+            "flag --" + flag.name + ": " + value + " is outside [" +
+            std::to_string(flag.min_value) + ", " +
+            std::to_string(flag.max_value) + "]");
       }
       *static_cast<int64_t*>(flag.target) = v;
       return Status::OK();

@@ -28,15 +28,20 @@ class FlagParser {
   /// receives the parsed value.
   void AddInt(const std::string& name, int64_t* target,
               const std::string& help);
+  /// As above, but Parse fails with InvalidArgument unless the value lies
+  /// in [min_value, max_value], so a caller can narrow it to a smaller
+  /// type without wrapping.
+  void AddInt(const std::string& name, int64_t* target, int64_t min_value,
+              int64_t max_value, const std::string& help);
   void AddDouble(const std::string& name, double* target,
                  const std::string& help);
   void AddBool(const std::string& name, bool* target, const std::string& help);
   void AddString(const std::string& name, std::string* target,
                  const std::string& help);
 
-  /// Parses argv. Returns InvalidArgument on unknown flags or malformed
-  /// values. Positional (non-flag) arguments are collected in
-  /// `positional_args()`.
+  /// Parses argv. Returns InvalidArgument on unknown flags, malformed
+  /// values, or integers outside their flag's range. Positional (non-flag)
+  /// arguments are collected in `positional_args()`.
   Status Parse(int argc, char** argv);
 
   /// Writes a usage summary (flag names, defaults, help strings) to stderr.
@@ -54,6 +59,8 @@ class FlagParser {
     void* target;
     std::string help;
     std::string default_repr;
+    int64_t min_value = INT64_MIN;  ///< kInt only: accepted range
+    int64_t max_value = INT64_MAX;
   };
 
   Status SetValue(const Flag& flag, const std::string& value);

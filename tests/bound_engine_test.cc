@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include "core/flos.h"
 #include "core/flos_engine.h"
 #include "core/local_graph.h"
@@ -162,6 +166,97 @@ TEST(BoundEngineTest, PhpQueryProbesOneDegreePerJoin) {
       EXPECT_EQ(accessor.stats().neighbor_fetches, result.stats.visited_nodes);
       EXPECT_EQ(accessor.stats().degree_probes, result.stats.visited_nodes)
           << "query " << q << ", self-loop " << self_loop;
+    }
+  }
+}
+
+// Grows `h` by one ring: every boundary node is expanded, with the dummy
+// captured from the boundary before the expansion, as FlosEngine does.
+void GrowRing(EngineHarness* h) {
+  std::vector<LocalId> ring;
+  for (LocalId i = 0; i < h->local.Size(); ++i) {
+    if (h->local.IsBoundary(i)) ring.push_back(i);
+  }
+  h->engine->CaptureDummyFromBoundary();
+  for (const LocalId u : ring) ValueOrDie(h->local.Expand(u));
+  h->engine->OnGrowth();
+}
+
+TEST(BoundEngineTest, SolveStopsOnTheFirstSweepBelowTolerance) {
+  // The reference loop replays each solve on an identical twin one sweep
+  // per UpdateBounds call (max_inner_iterations = 1; the coefficient
+  // refresh is a no-op after the first call) and measures every sweep's
+  // movement from the public bounds. The solve must stop on exactly the
+  // first sweep that moved no bound by tau or more, with the same bounds.
+  const Graph g = RandomConnectedGraph(3000, 12000, 5);
+  const NodeId query = 7;
+  UnifiedBoundOptions be;
+  be.traits = BoundTraitsFor(Measure::kPhp, 0.5, 10);
+  be.tolerance = 1e-7;
+  EngineHarness solve(&g, query, be);
+  UnifiedBoundOptions one_sweep = be;
+  one_sweep.max_inner_iterations = 1;
+  EngineHarness reference(&g, query, one_sweep);
+  bool between_checkpoints = false;
+  for (int round = 0; round < 5; ++round) {
+    GrowRing(&solve);
+    GrowRing(&reference);
+    const uint32_t n = reference.local.Size();
+    ASSERT_EQ(solve.local.Size(), n);
+    uint32_t want = 0;
+    double movement = 0;
+    do {
+      std::vector<double> before(2 * static_cast<size_t>(n));
+      for (LocalId i = 0; i < n; ++i) {
+        before[2 * i] = reference.engine->lower(i);
+        before[2 * i + 1] = reference.engine->upper(i);
+      }
+      ASSERT_EQ(reference.engine->UpdateBounds(), 1u);
+      ++want;
+      movement = 0;
+      for (LocalId i = 0; i < n; ++i) {
+        movement =
+            std::max({movement, reference.engine->lower(i) - before[2 * i],
+                      before[2 * i + 1] - reference.engine->upper(i)});
+      }
+      ASSERT_LT(want, 10000u);
+    } while (!(movement < be.tolerance));
+    EXPECT_EQ(solve.engine->UpdateBounds(), want) << "round " << round;
+    for (LocalId i = 0; i < n; ++i) {
+      ASSERT_EQ(solve.engine->lower(i), reference.engine->lower(i));
+      ASSERT_EQ(solve.engine->upper(i), reference.engine->upper(i));
+    }
+    // A count past 4 that is not a multiple of 4 is one a convergence test
+    // on every fourth sweep would have overshot.
+    if (want > 4 && want % 4 != 0) between_checkpoints = true;
+  }
+  EXPECT_TRUE(between_checkpoints)
+      << "no solve stopped between every-fourth-sweep checkpoints";
+}
+
+TEST(BoundEngineTest, ExpiredDeadlineStopsWithinFourSweeps) {
+  // Tolerance 0 never converges, so only the deadline can stop these
+  // solves. The clock is read after each of the first four sweeps, so a
+  // deadline that has already passed stops the solve within four sweeps,
+  // and the interrupted bounds still bracket the exact values.
+  const Graph g = RandomConnectedGraph(3000, 12000, 5);
+  const NodeId query = 7;
+  const std::vector<double> exact = ValueOrDie(ExactPhp(g, query, 0.5));
+  UnifiedBoundOptions be;
+  be.traits = BoundTraitsFor(Measure::kPhp, 0.5, 10);
+  be.tolerance = 0;
+  be.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  EngineHarness h(&g, query, be);
+  for (int round = 0; round < 4; ++round) {
+    GrowRing(&h);
+    const uint32_t sweeps = h.engine->UpdateBounds();
+    EXPECT_GE(sweeps, 1u);
+    EXPECT_LE(sweeps, 4u) << "round " << round;
+    EXPECT_TRUE(h.engine->deadline_hit());
+    for (LocalId i = 0; i < h.local.Size(); ++i) {
+      const double v = exact[h.local.GlobalId(i)];
+      ASSERT_LE(h.engine->lower(i), v + 1e-9);
+      ASSERT_GE(h.engine->upper(i), v - 1e-9);
     }
   }
 }

@@ -1,6 +1,6 @@
 // Tests for block-parallel bound sweeps (FlosOptions::sweep_threads):
 // parallel runs must certify the same top-k as serial runs for every
-// measure and both sweep backends, the certified result must match the
+// measure, the certified result must match the
 // exact whole-graph ground truth, and repeated parallel runs must be
 // bit-deterministic (fixed partition + immutable snapshot — correctness
 // must not depend on a lucky interleaving). The whole suite runs under
@@ -13,7 +13,6 @@
 
 #include "core/flos.h"
 #include "core/flos_engine.h"
-#include "core/sweep_kernel.h"
 #include "graph/accessor.h"
 #include "graph/graph.h"
 #include "measures/exact.h"
@@ -30,10 +29,9 @@ constexpr Measure kAllMeasures[] = {Measure::kPhp, Measure::kEi,
                                     Measure::kDht, Measure::kTht,
                                     Measure::kRwr};
 
-FlosOptions SweepOptions(Measure m, SweepBackendKind backend, int threads) {
+FlosOptions SweepOptions(Measure m, int threads) {
   FlosOptions o;
   o.measure = m;
-  o.sweep_backend = backend;
   o.sweep_threads = threads;
   // Force the parallel path even on small visited sets; production keeps
   // the adaptive threshold, the test wants coverage.
@@ -54,7 +52,7 @@ std::vector<NodeId> SortedNodes(const FlosResult& r) {
 // whole-graph solver. Score values may differ in the last ulps (the
 // parallel sweep is block-Jacobi across chunks, a different — equally
 // certified — iterate), so the comparison is set + ground-truth based.
-void RunParitySuite(SweepBackendKind backend) {
+TEST(ParallelSweepTest, MatchesSerialAcrossMeasuresScalar) {
   const Graph g = RandomConnectedGraph(600, 2400, 17);
   InMemoryAccessor serial_accessor(&g);
   InMemoryAccessor parallel_accessor(&g);
@@ -66,9 +64,9 @@ void RunParitySuite(SweepBackendKind backend) {
       SCOPED_TRACE(::testing::Message()
                    << "measure=" << static_cast<int>(m) << " query=" << q);
       const FlosResult serial =
-          ValueOrDie(serial_engine.TopK(q, 10, SweepOptions(m, backend, 1)));
-      const FlosResult parallel = ValueOrDie(
-          parallel_engine.TopK(q, 10, SweepOptions(m, backend, 4)));
+          ValueOrDie(serial_engine.TopK(q, 10, SweepOptions(m, 1)));
+      const FlosResult parallel =
+          ValueOrDie(parallel_engine.TopK(q, 10, SweepOptions(m, 4)));
       ASSERT_TRUE(serial.stats.exact);
       ASSERT_TRUE(parallel.stats.exact)
           << "parallel sweeps must not lose certification";
@@ -87,15 +85,6 @@ void RunParitySuite(SweepBackendKind backend) {
   }
 }
 
-TEST(ParallelSweepTest, MatchesSerialAcrossMeasuresScalar) {
-  RunParitySuite(SweepBackendKind::kScalar);
-}
-
-TEST(ParallelSweepTest, MatchesSerialAcrossMeasuresAvx2) {
-  if (!Avx2SweepAvailable()) GTEST_SKIP() << "CPU lacks AVX2";
-  RunParitySuite(SweepBackendKind::kAvx2);
-}
-
 // The certified lower/upper intervals of a parallel run must bracket the
 // exact values for the measures returned in their native bound space
 // (PHP; THT's intervals come from the same horizon DP the exact solver
@@ -106,18 +95,16 @@ TEST(ParallelSweepTest, IntervalsBracketExactValues) {
   InMemoryAccessor accessor(&g);
   FlosEngine engine(&accessor);
   const NodeId q = 11;
-  const FlosResult php = ValueOrDie(
-      engine.TopK(q, 10, SweepOptions(Measure::kPhp, SweepBackendKind::kAuto,
-                                      4)));
+  const FlosResult php =
+      ValueOrDie(engine.TopK(q, 10, SweepOptions(Measure::kPhp, 4)));
   ASSERT_TRUE(php.stats.exact);
   const auto exact_php = ValueOrDie(ExactPhp(g, q, 0.5));
   for (const ScoredNode& s : php.topk) {
     EXPECT_GE(exact_php[s.node], s.lower - 1e-7) << "node " << s.node;
     EXPECT_LE(exact_php[s.node], s.upper + 1e-7) << "node " << s.node;
   }
-  const FlosResult tht = ValueOrDie(
-      engine.TopK(q, 10, SweepOptions(Measure::kTht, SweepBackendKind::kAuto,
-                                      4)));
+  const FlosResult tht =
+      ValueOrDie(engine.TopK(q, 10, SweepOptions(Measure::kTht, 4)));
   ASSERT_TRUE(tht.stats.exact);
   const auto exact_tht = ValueOrDie(ExactTht(g, q, 10));
   for (const ScoredNode& s : tht.topk) {
@@ -135,7 +122,7 @@ TEST(ParallelSweepTest, ParallelRunsAreBitDeterministic) {
   FlosEngine engine(&accessor);
   for (const Measure m : kAllMeasures) {
     SCOPED_TRACE(::testing::Message() << "measure=" << static_cast<int>(m));
-    const FlosOptions o = SweepOptions(m, SweepBackendKind::kAuto, 4);
+    const FlosOptions o = SweepOptions(m, 4);
     const FlosResult a = ValueOrDie(engine.TopK(9, 10, o));
     const FlosResult b = ValueOrDie(engine.TopK(9, 10, o));
     ASSERT_EQ(a.topk.size(), b.topk.size());
@@ -162,9 +149,9 @@ TEST(ParallelSweepTest, MultiSourceParallelMatchesSerial) {
   for (const Measure m : {Measure::kPhp, Measure::kDht, Measure::kTht}) {
     SCOPED_TRACE(::testing::Message() << "measure=" << static_cast<int>(m));
     const FlosResult serial = ValueOrDie(serial_engine.TopKSet(
-        sources, 8, SweepOptions(m, SweepBackendKind::kAuto, 1)));
+        sources, 8, SweepOptions(m, 1)));
     const FlosResult parallel = ValueOrDie(parallel_engine.TopKSet(
-        sources, 8, SweepOptions(m, SweepBackendKind::kAuto, 4)));
+        sources, 8, SweepOptions(m, 4)));
     ASSERT_TRUE(serial.stats.exact);
     ASSERT_TRUE(parallel.stats.exact);
     EXPECT_EQ(SortedNodes(serial), SortedNodes(parallel));
@@ -184,8 +171,7 @@ TEST(ParallelSweepTest, AdaptiveThresholdAndThreadCountChanges) {
   const FlosResult small = ValueOrDie(engine.TopK(7, 10, defaults));
   EXPECT_TRUE(small.stats.exact);
   for (const int threads : {1, 2, 8, 1, 4}) {
-    FlosOptions o = SweepOptions(Measure::kPhp, SweepBackendKind::kAuto,
-                                 threads);
+    FlosOptions o = SweepOptions(Measure::kPhp, threads);
     const FlosResult r = ValueOrDie(engine.TopK(7, 10, o));
     EXPECT_TRUE(r.stats.exact) << "threads=" << threads;
   }

@@ -176,6 +176,63 @@ TEST(FlagParserTest, RejectsOutOfRangeNegativeInteger) {
   EXPECT_EQ(k, 1) << "a rejected value must leave the flag untouched";
 }
 
+// The ranged overload: values are checked against [min, max] before the
+// caller narrows them (a port, a thread count, a queue cap), so a negative
+// queue cap or a port past 65535 fails Parse instead of wrapping.
+TEST(FlagParserTest, RangedIntRejectsValuesOutsideItsRange) {
+  const auto parse = [](const char* arg, int64_t* port) {
+    FlagParser flags;
+    flags.AddInt("port", port, 0, 65535, "p");
+    const char* argv[] = {"prog", arg};
+    return flags.Parse(2, const_cast<char**>(argv));
+  };
+  for (const char* bad : {"--port=-1", "--port=65536", "--port=70000",
+                          "--port=4294967298", "--port=-4294967296"}) {
+    int64_t port = 7;
+    EXPECT_EQ(parse(bad, &port).code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(port, 7) << bad << ": a rejected value must leave the flag";
+  }
+  int64_t port = 7;
+  FLOS_EXPECT_OK(parse("--port=0", &port));
+  EXPECT_EQ(port, 0);
+  FLOS_EXPECT_OK(parse("--port=65535", &port));
+  EXPECT_EQ(port, 65535);
+  // The saturating overflow check still runs first.
+  EXPECT_EQ(parse("--port=99999999999999999999", &port).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(port, 65535);
+}
+
+TEST(FlagParserTest, RangedIntAcceptsTheFullRangeAtItsEnds) {
+  FlagParser flags;
+  int64_t queue = 256;
+  int64_t wide = 0;
+  flags.AddInt("max-queue", &queue, 1, int64_t{1} << 20, "q");
+  flags.AddInt("wide", &wide, INT64_MIN, INT64_MAX, "w");
+  {
+    const char* argv[] = {"prog", "--max-queue=1", "--wide",
+                          "-9223372036854775808"};
+    FLOS_ASSERT_OK(flags.Parse(4, const_cast<char**>(argv)));
+    EXPECT_EQ(queue, 1);
+    EXPECT_EQ(wide, INT64_MIN);
+  }
+  {
+    const char* argv[] = {"prog", "--max-queue=1048576",
+                          "--wide=9223372036854775807"};
+    FLOS_ASSERT_OK(flags.Parse(3, const_cast<char**>(argv)));
+    EXPECT_EQ(queue, 1048576);
+    EXPECT_EQ(wide, INT64_MAX);
+  }
+  for (const char* bad : {"--max-queue=0", "--max-queue=-1",
+                          "--max-queue=1048577"}) {
+    const char* argv[] = {"prog", bad};
+    EXPECT_EQ(flags.Parse(2, const_cast<char**>(argv)).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(queue, 1048576) << bad;
+  }
+}
+
 TEST(TablePrinterTest, FormatsDoubles) {
   EXPECT_EQ(TablePrinter::FormatDouble(0.5), "0.5");
   EXPECT_EQ(TablePrinter::FormatDouble(1234.5678, 6), "1234.57");
