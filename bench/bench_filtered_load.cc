@@ -43,16 +43,6 @@
 
 namespace {
 
-flos::Result<flos::Measure> ParseMeasure(const std::string& name) {
-  if (name == "php") return flos::Measure::kPhp;
-  if (name == "ei") return flos::Measure::kEi;
-  if (name == "dht") return flos::Measure::kDht;
-  if (name == "tht") return flos::Measure::kTht;
-  if (name == "rwr") return flos::Measure::kRwr;
-  return flos::Status::InvalidArgument(
-      "unknown measure '" + name + "' (expected php|ei|dht|tht|rwr)");
-}
-
 /// One benchmarked (predicate type, target selectivity) combination.
 struct Combo {
   std::string name;             ///< row label, e.g. "overlap@1%"
@@ -329,7 +319,7 @@ int Run(int argc, char** argv) {
     flags.PrintUsage(argv[0]);
     return 1;
   }
-  const auto measure = ParseMeasure(measure_name);
+  const auto measure = flos::ParseMeasure(measure_name);
   if (!measure.ok()) {
     std::fprintf(stderr, "%s\n", measure.status().ToString().c_str());
     return 1;

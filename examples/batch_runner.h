@@ -1,5 +1,6 @@
-// Batch k-NN over a pool of warm engines: the engine behind knn_cli's
-// --batch-file mode, kept in its own header so the tests can drive it.
+// Batch k-NN over a pool of warm engines: the batch-file reader and the
+// engine behind knn_cli's --batch-file mode, kept in their own header so
+// the tests can drive them.
 
 #ifndef FLOS_EXAMPLES_BATCH_RUNNER_H_
 #define FLOS_EXAMPLES_BATCH_RUNNER_H_
@@ -7,15 +8,43 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/flos.h"
 #include "service/session_pool.h"
+#include "util/line_reader.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace flos::cli {
+
+// Reads a batch file: one query node id below `num_nodes` per line; blank
+// lines and '#' comments are skipped. Any other line ("12abc", "7 9", an
+// id out of range) fails the whole file with a `<path>:<line>:` Status.
+inline Result<std::vector<NodeId>> ReadBatchFile(const std::string& path,
+                                                 uint64_t num_nodes) {
+  FLOS_ASSIGN_OR_RETURN(LineReader reader,
+                        LineReader::Open(path, "batch file"));
+  std::vector<NodeId> queries;
+  while (reader.Next()) {
+    const char first = reader.Peek();
+    if (first == '\0' || first == '#') continue;
+    uint64_t node = 0;
+    FLOS_RETURN_IF_ERROR(reader.ParseU64("query node id", &node));
+    FLOS_RETURN_IF_ERROR(reader.ExpectEnd());
+    if (node >= num_nodes) {
+      return Status::OutOfRange(reader.At(
+          "query node " + std::to_string(node) + " is not below the graph's " +
+          std::to_string(num_nodes) + " nodes"));
+    }
+    queries.push_back(static_cast<NodeId>(node));
+  }
+  FLOS_RETURN_IF_ERROR(reader.status());
+  return queries;
+}
 
 // Answers `queries[i]` into slot i on `num_threads` workers (<= 0 = all
 // cores), one pool session per worker. The first failing query stops the

@@ -19,16 +19,6 @@
 
 namespace {
 
-flos::Result<flos::Measure> ParseMeasure(const std::string& name) {
-  if (name == "php") return flos::Measure::kPhp;
-  if (name == "ei") return flos::Measure::kEi;
-  if (name == "dht") return flos::Measure::kDht;
-  if (name == "tht") return flos::Measure::kTht;
-  if (name == "rwr") return flos::Measure::kRwr;
-  return flos::Status::InvalidArgument(
-      "unknown measure '" + name + "' (expected php|ei|dht|tht|rwr)");
-}
-
 int Run(int argc, char** argv) {
   flos::FlagParser flags;
   std::string host = "127.0.0.1";
@@ -102,7 +92,7 @@ int Run(int argc, char** argv) {
     return resp->status == flos::StatusCode::kOk ? 0 : 1;
   }
 
-  const auto measure = ParseMeasure(measure_name);
+  const auto measure = flos::ParseMeasure(measure_name);
   if (!measure.ok()) {
     std::fprintf(stderr, "%s\n", measure.status().ToString().c_str());
     return 1;

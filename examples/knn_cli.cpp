@@ -13,7 +13,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -29,36 +28,6 @@
 #include "util/timer.h"
 
 namespace {
-
-flos::Result<flos::Measure> ParseMeasure(const std::string& name) {
-  if (name == "php") return flos::Measure::kPhp;
-  if (name == "ei") return flos::Measure::kEi;
-  if (name == "dht") return flos::Measure::kDht;
-  if (name == "tht") return flos::Measure::kTht;
-  if (name == "rwr") return flos::Measure::kRwr;
-  return flos::Status::InvalidArgument(
-      "unknown measure '" + name + "' (expected php|ei|dht|tht|rwr)");
-}
-
-flos::Result<std::vector<flos::NodeId>> ReadBatchFile(const std::string& path,
-                                                      uint64_t num_nodes) {
-  std::ifstream in(path);
-  if (!in) return flos::Status::IoError("cannot open batch file " + path);
-  std::vector<flos::NodeId> queries;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') continue;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(line.c_str() + start, &end, 10);
-    if (end == line.c_str() + start || v >= num_nodes) {
-      return flos::Status::InvalidArgument("bad query node '" + line +
-                                           "' in " + path);
-    }
-    queries.push_back(static_cast<flos::NodeId>(v));
-  }
-  return queries;
-}
 
 void PrintResult(const flos::FlosResult& result, bool show_bounds) {
   for (const flos::ScoredNode& s : result.topk) {
@@ -138,7 +107,7 @@ int Run(int argc, char** argv) {
   }
   std::printf("# %s\n", flos::StatsToString(flos::ComputeStats(graph)).c_str());
 
-  auto measure = ParseMeasure(measure_name);
+  auto measure = flos::ParseMeasure(measure_name);
   if (!measure.ok()) {
     std::fprintf(stderr, "%s\n", measure.status().ToString().c_str());
     return 1;
@@ -198,7 +167,7 @@ int Run(int argc, char** argv) {
   }
 
   if (!batch_file.empty()) {
-    auto batch = ReadBatchFile(batch_file, graph.NumNodes());
+    auto batch = flos::cli::ReadBatchFile(batch_file, graph.NumNodes());
     if (!batch.ok()) {
       std::fprintf(stderr, "%s\n", batch.status().ToString().c_str());
       return 1;

@@ -52,6 +52,14 @@ Enforced policy (see DESIGN.md "Correctness tooling & invariant policy"):
                   `-Wthread-safety -Werror` sees the whole locking story.
                   A deliberate exception carries
                   `// lint:allow(no-raw-mutex) <reason>`.
+  no-raw-line-io  `fgets`, `std::getline` and `std::ifstream` are banned in
+                  src/, bench/ and examples/ except src/util/line_reader.cc,
+                  so every text input (edge lists, shard maps, label and
+                  batch files) is read through util/line_reader.h, which
+                  fails closed in one place: lines of any length,
+                  `<path>:<line>:` errors, no NUL bytes, whole finite
+                  number tokens. A deliberate exception carries
+                  `// lint:allow(no-raw-line-io) <reason>`.
   header-guards   every header uses a classic include guard named
                   FLOS_<PATH>_H_ (no #pragma once), matching its path so
                   moved files cannot silently collide.
@@ -164,6 +172,22 @@ TOKEN_RULES_MUTEX = [
 ]
 
 
+# Applied in src/, bench/ and examples/ EXCEPT src/util/line_reader.cc, the
+# one place that reads text lines. The lookbehind keeps member functions
+# and other namespaces' functions that merely share a name from tripping.
+TOKEN_RULES_LINE_IO = [
+    (
+        "no-raw-line-io",
+        re.compile(r"(?<![\w.>:])(::)?fgets\s*\(|std::(getline|ifstream)\b"),
+        "raw line input; read text through flos::LineReader "
+        "(util/line_reader.h), which fails closed on long lines, NUL bytes "
+        "and malformed numbers, or annotate a deliberate exception with "
+        "lint:allow(no-raw-line-io)",
+    ),
+]
+LINE_IO_DIRS = ("src", "bench", "examples")
+
+
 # Applied everywhere. Catches the intrinsic calls, the vector types, and
 # the header include, so no SIMD island can grow silently.
 TOKEN_RULES_INTRINSICS = [
@@ -186,7 +210,7 @@ KNOWN_RULES = frozenset(
     name
     for rules in (TOKEN_RULES_LIBRARY, TOKEN_RULES_EVERYWHERE,
                   TOKEN_RULES_SOCKETS, TOKEN_RULES_INTRINSICS,
-                  TOKEN_RULES_MUTEX, TOKEN_RULES_MMAP)
+                  TOKEN_RULES_MUTEX, TOKEN_RULES_MMAP, TOKEN_RULES_LINE_IO)
     for name, _, _ in rules
 )
 
@@ -304,6 +328,9 @@ def lint_file(path, root, findings, suppressions):
         rules += TOKEN_RULES_MUTEX
     if "util/huge_page_allocator.h" not in path.as_posix():
         rules += TOKEN_RULES_MMAP
+    if (rel_root in LINE_IO_DIRS
+            and "util/line_reader.cc" not in path.as_posix()):
+        rules += TOKEN_RULES_LINE_IO
 
     consumed = set()  # (line, rule) pairs whose lint:allow suppressed a hit
     stripped = strip_comments_and_strings(text).splitlines()

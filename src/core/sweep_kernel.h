@@ -59,23 +59,6 @@ inline void FusedRowSweep(const LocalGraph& local, const double* lo,
   }
 }
 
-/// Single-vector variant: body(i, s) with s = sum_j p_ij x[j]. Used by
-/// lower-only consumers (UpdateLowerOnly, FinalizeExhausted).
-template <typename Body>
-inline void RowSweep(const LocalGraph& local, const double* x, Body&& body) {
-  const uint32_t n = local.Size();
-  for (LocalId i = 0; i < n; ++i) {
-    if (i + 1 < n) local.PrefetchRow(i + 1);
-    const LocalRow row = local.Row(i);
-    double s = 0;
-    for (uint32_t e = 0; e < row.len; ++e) {
-      FLOS_AUDIT(row.idx[e] < n, "local CSR column index out of range");
-      s += row.weight[e] * x[row.idx[e]];
-    }
-    body(i, s);
-  }
-}
-
 /// Pair-layout fused sweep: `bounds` interleaves (lower, upper) per node —
 /// bounds[2i] = lower_i, bounds[2i+1] = upper_i — so each random column
 /// access touches ONE cache line instead of two. body(i, s_lo, s_hi) as in

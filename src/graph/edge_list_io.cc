@@ -1,19 +1,17 @@
 #include "graph/edge_list_io.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_set>
+
+#include "util/line_reader.h"
 
 namespace flos {
 
 Result<Graph> ReadEdgeList(const std::string& path,
                            const EdgeListOptions& options) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::IoError("cannot open edge list: " + path);
-  }
+  FLOS_ASSIGN_OR_RETURN(LineReader reader,
+                        LineReader::Open(path, "edge list"));
   GraphBuilder::Options builder_options;
   builder_options.ignore_self_loops = options.ignore_self_loops;
   builder_options.num_nodes = options.num_nodes;
@@ -21,68 +19,24 @@ Result<Graph> ReadEdgeList(const std::string& path,
 
   // Every malformed row is a hard, line-numbered error — a silently
   // skipped or misparsed row would corrupt the graph without a trace.
-  const auto at_line = [&path](uint64_t line_no, const std::string& what) {
-    return path + ":" + std::to_string(line_no) + ": " + what;
-  };
-  const auto skip_space = [](const char* p) {
-    while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
-    return p;
-  };
-  const auto at_eol = [](const char* p) { return *p == '\n' || *p == '\0'; };
-
   std::unordered_set<uint64_t> seen;
-  char line[512];
-  uint64_t line_no = 0;
-  Status status = Status::OK();
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    ++line_no;
-    const char* p = skip_space(line);
-    if (*p == '#' || *p == '%' || at_eol(p)) continue;
-    if (*p == '-') {
-      status = Status::Corruption(at_line(line_no, "negative node id"));
-      break;
-    }
-    char* end = nullptr;
-    const unsigned long long u = std::strtoull(p, &end, 10);
-    if (end == p) {
-      status = Status::Corruption(at_line(line_no, "expected node id"));
-      break;
-    }
-    p = skip_space(end);
-    if (*p == '-') {
-      status = Status::Corruption(at_line(line_no, "negative node id"));
-      break;
-    }
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p) {
-      status = Status::Corruption(
-          at_line(line_no, at_eol(p) ? "truncated edge: expected second "
-                                       "node id"
-                                     : "expected second node id"));
-      break;
-    }
-    p = skip_space(end);
+  while (reader.Next()) {
+    const char first = reader.Peek();
+    if (first == '\0' || first == '#' || first == '%') continue;
+    uint64_t u = 0;
+    uint64_t v = 0;
     double w = 1.0;
-    if (!at_eol(p)) {
-      w = std::strtod(p, &end);
-      if (end == p) {
-        status = Status::Corruption(
-            at_line(line_no, "malformed edge weight '" + std::string(p) +
-                                 "' (expected a number)"));
-        break;
-      }
-      p = skip_space(end);
-      if (!at_eol(p)) {
-        status = Status::Corruption(at_line(
-            line_no, "trailing garbage after edge weight: '" +
-                         std::string(p) + "'"));
-        break;
-      }
+    FLOS_RETURN_IF_ERROR(reader.ParseU64("node id", &u));
+    if (reader.Peek() == '\0') {
+      return reader.Fail("truncated edge: expected second node id");
+    }
+    FLOS_RETURN_IF_ERROR(reader.ParseU64("second node id", &v));
+    if (reader.Peek() != '\0') {
+      FLOS_RETURN_IF_ERROR(reader.ParseDouble("edge weight", &w));
+      FLOS_RETURN_IF_ERROR(reader.ExpectEnd());
     }
     if (u > kInvalidNode - 1 || v > kInvalidNode - 1) {
-      status = Status::OutOfRange(
-          at_line(line_no, "node id exceeds 32-bit range"));
-      break;
+      return Status::OutOfRange(reader.At("node id exceeds 32-bit range"));
     }
     if (options.dedup_duplicates && u != v) {
       const uint64_t lo = u < v ? u : v;
@@ -92,14 +46,12 @@ Result<Graph> ReadEdgeList(const std::string& path,
     const Status added =
         builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
     if (!added.ok()) {
-      // Builder rejections (negative/zero/non-finite weight, endpoint out
-      // of a fixed node range) gain the file:line prefix on the way out.
-      status = Status(added.code(), at_line(line_no, added.message()));
-      break;
+      // Builder rejections (negative/zero weight, endpoint out of a fixed
+      // node range) gain the file:line prefix on the way out.
+      return Status(added.code(), reader.At(added.message()));
     }
   }
-  std::fclose(f);
-  FLOS_RETURN_IF_ERROR(status);
+  FLOS_RETURN_IF_ERROR(reader.status());
   return std::move(builder).Build();
 }
 

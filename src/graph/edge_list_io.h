@@ -30,11 +30,12 @@ struct EdgeListOptions {
   int64_t num_nodes = -1;
 };
 
-/// Parses an edge list file into a Graph. Parsing is strict: malformed
-/// rows (bad ids, non-numeric or non-positive weights, trailing garbage,
-/// a truncated final line) fail with a `<path>:<line>: ...` Status rather
-/// than being skipped, so a corrupt file can never silently load as a
-/// smaller graph.
+/// Parses an edge list file into a Graph. Parsing is strict (through
+/// util/line_reader.h): malformed rows (bad ids, non-numeric, non-finite or
+/// non-positive weights, trailing garbage, a NUL byte, a truncated final
+/// line) fail with a `<path>:<line>: ...` Status rather than being skipped,
+/// so a corrupt file can never silently load as a smaller graph. Comment
+/// lines of any length are skipped whole.
 Result<Graph> ReadEdgeList(const std::string& path,
                            const EdgeListOptions& options = {});
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "util/check.h"
+#include "util/line_reader.h"
 #include "util/rng.h"
 
 namespace flos {
@@ -220,81 +220,39 @@ Result<LabelStore> GenerateMultinomialLabels(
 
 namespace {
 
-/// Reads one full line (of any length) into *out, without the newline.
-/// Returns false at EOF with nothing read.
-bool ReadLine(std::FILE* f, std::string* out) {
-  out->clear();
-  char buf[512];
-  bool any = false;
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    any = true;
-    out->append(buf);
-    if (!out->empty() && out->back() == '\n') {
-      out->pop_back();
-      return true;
-    }
-  }
-  return any;
-}
-
 std::string_view Trim(std::string_view s) {
-  while (!s.empty() &&
-         (s.front() == ' ' || s.front() == '\t' || s.front() == '\r')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() &&
-         (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
+  const size_t first = s.find_first_not_of(" \t\r");
+  if (first == std::string_view::npos) return {};
+  return s.substr(first, s.find_last_not_of(" \t\r") - first + 1);
 }
 
 }  // namespace
 
 Result<LabelStore> ReadLabelFile(const std::string& path, int64_t num_nodes) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::IoError("cannot open label file: " + path);
-  }
-  const auto at_line = [&path](uint64_t line_no, const std::string& what) {
-    return path + ":" + std::to_string(line_no) + ": " + what;
-  };
+  FLOS_ASSIGN_OR_RETURN(LineReader reader,
+                        LineReader::Open(path, "label file"));
 
   // Two passes over parsed rows would need the file in memory anyway, so
   // collect per-node name lists first and intern at the end (interning
   // order = first-appearance order, deterministic for a given file).
   std::vector<std::vector<std::string>> rows;
-  std::string line;
-  uint64_t line_no = 0;
-  Status status = Status::OK();
-  while (ReadLine(f, &line)) {
-    ++line_no;
-    const std::string_view trimmed = Trim(line);
-    if (!trimmed.empty() && trimmed.front() == '#') continue;
+  while (reader.Next()) {
+    std::string_view rest = Trim(reader.line());
+    if (!rest.empty() && rest.front() == '#') continue;
     rows.emplace_back();
-    if (trimmed.empty()) continue;  // node with no labels
-    std::vector<std::string>& row = rows.back();
-    size_t start = 0;
-    const std::string body(trimmed);
+    if (rest.empty()) continue;  // node with no labels
     while (true) {
-      const size_t comma = body.find(',', start);
-      const std::string_view token = Trim(
-          std::string_view(body).substr(start, comma == std::string::npos
-                                                   ? std::string::npos
-                                                   : comma - start));
+      const size_t comma = rest.find(',');
+      const std::string_view token = Trim(rest.substr(0, comma));
       if (token.empty()) {
-        status = Status::Corruption(
-            at_line(line_no, "empty label name (stray comma?)"));
-        break;
+        return reader.Fail("empty label name (stray comma?)");
       }
-      row.emplace_back(token);
-      if (comma == std::string::npos) break;
-      start = comma + 1;
+      rows.back().emplace_back(token);
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
     }
-    if (!status.ok()) break;
   }
-  std::fclose(f);
-  FLOS_RETURN_IF_ERROR(status);
+  FLOS_RETURN_IF_ERROR(reader.status());
   if (num_nodes >= 0 && rows.size() != static_cast<uint64_t>(num_nodes)) {
     return Status::Corruption(
         path + ": label file has " + std::to_string(rows.size()) +

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <unordered_set>
@@ -12,6 +10,7 @@
 
 #include "graph/edge_list_io.h"
 #include "util/check.h"
+#include "util/line_reader.h"
 #include "util/rng.h"
 
 namespace flos {
@@ -277,136 +276,73 @@ Status WriteShardFiles(const GraphPartition& partition,
 
 namespace {
 
-// Strict line-oriented parser mirroring edge_list_io: every malformed row
-// is a hard `<path>:<line>:` error; a misparsed map would silently route
-// queries to the wrong nodes.
-class MapParser {
- public:
-  MapParser(std::FILE* f, const std::string& path) : f_(f), path_(path) {}
-
-  uint64_t line_no() const { return line_no_; }
-
-  Status Fail(const std::string& what) const {
-    return Status::Corruption(path_ + ":" + std::to_string(line_no_) + ": " +
-                              what);
+// Advances to the next row, skipping blank lines and '#'/'%' comments (the
+// edge-list rule). False at end of file or on an unreadable line.
+bool NextRow(LineReader* reader) {
+  while (reader->Next()) {
+    const char first = reader->Peek();
+    if (first != '\0' && first != '#' && first != '%') return true;
   }
+  return false;
+}
 
-  // Advances to the next non-comment, non-blank line. False on EOF.
-  bool NextLine() {
-    while (std::fgets(line_, sizeof(line_), f_) != nullptr) {
-      ++line_no_;
-      p_ = line_;
-      SkipSpace();
-      if (*p_ == '#' || *p_ == '%' || AtEol()) continue;
-      return true;
-    }
-    return false;
-  }
+// Advances to the next row, which must open with the header `word`.
+Status ExpectHeader(LineReader* reader, const std::string& word) {
+  if (!NextRow(reader)) return reader->Fail("missing '" + word + "' header");
+  return reader->ExpectWord(word);
+}
 
-  Status ExpectWord(const char* word) {
-    const size_t len = std::strlen(word);
-    if (std::strncmp(p_, word, len) != 0) {
-      return Fail(std::string("expected '") + word + "'");
-    }
-    p_ += len;
-    SkipSpace();
-    return Status::OK();
-  }
-
-  Status ParseU64(const char* what, uint64_t* out) {
-    if (*p_ == '-') return Fail(std::string("negative ") + what);
-    char* end = nullptr;
-    *out = std::strtoull(p_, &end, 10);
-    if (end == p_) return Fail(std::string("expected ") + what);
-    p_ = end;
-    SkipSpace();
-    return Status::OK();
-  }
-
-  Status ParseDouble(const char* what, double* out) {
-    char* end = nullptr;
-    *out = std::strtod(p_, &end);
-    if (end == p_) return Fail(std::string("expected ") + what);
-    p_ = end;
-    SkipSpace();
-    return Status::OK();
-  }
-
-  Status ExpectEol() {
-    if (!AtEol()) {
-      return Fail("trailing garbage: '" + std::string(p_) + "'");
-    }
-    return Status::OK();
-  }
-
- private:
-  void SkipSpace() {
-    while (*p_ == ' ' || *p_ == '\t' || *p_ == '\r') ++p_;
-  }
-  bool AtEol() const { return *p_ == '\n' || *p_ == '\0'; }
-
-  std::FILE* f_;
-  const std::string& path_;
-  char line_[512];
-  const char* p_ = line_;
-  uint64_t line_no_ = 0;
-};
-
-Status ParseShardMap(MapParser* parser, ShardMeta* meta) {
+// Every malformed row is a hard `<path>:<line>:` error; a misparsed map
+// would silently route queries to the wrong nodes.
+Status ParseShardMap(LineReader* reader, ShardMeta* meta) {
   uint64_t u64 = 0;
 
-  if (!parser->NextLine()) return parser->Fail("missing 'shard' header");
-  FLOS_RETURN_IF_ERROR(parser->ExpectWord("shard"));
-  FLOS_RETURN_IF_ERROR(parser->ParseU64("shard index", &u64));
-  meta->shard_index = static_cast<uint32_t>(u64);
-  FLOS_RETURN_IF_ERROR(parser->ParseU64("shard count", &u64));
+  FLOS_RETURN_IF_ERROR(ExpectHeader(reader, "shard"));
+  uint64_t shard_index = 0;
+  FLOS_RETURN_IF_ERROR(reader->ParseU64("shard index", &shard_index));
+  FLOS_RETURN_IF_ERROR(reader->ParseU64("shard count", &u64));
+  FLOS_RETURN_IF_ERROR(reader->ExpectEnd());
+  if (shard_index >= u64 || u64 > UINT32_MAX) {
+    return reader->Fail("shard index out of range");
+  }
+  meta->shard_index = static_cast<uint32_t>(shard_index);
   meta->num_shards = static_cast<uint32_t>(u64);
-  FLOS_RETURN_IF_ERROR(parser->ExpectEol());
-  if (meta->num_shards == 0 || meta->shard_index >= meta->num_shards) {
-    return parser->Fail("shard index out of range");
-  }
 
-  if (!parser->NextLine()) return parser->Fail("missing 'halo_hops' header");
-  FLOS_RETURN_IF_ERROR(parser->ExpectWord("halo_hops"));
-  FLOS_RETURN_IF_ERROR(parser->ParseU64("halo hops", &u64));
+  FLOS_RETURN_IF_ERROR(ExpectHeader(reader, "halo_hops"));
+  FLOS_RETURN_IF_ERROR(reader->ParseU64("halo hops", &u64));
+  FLOS_RETURN_IF_ERROR(reader->ExpectEnd());
+  if (u64 < 1 || u64 > UINT32_MAX) {
+    return reader->Fail("halo_hops must be in [1, 2^32)");
+  }
   meta->halo_hops = static_cast<uint32_t>(u64);
-  FLOS_RETURN_IF_ERROR(parser->ExpectEol());
-  if (meta->halo_hops < 1) return parser->Fail("halo_hops must be >= 1");
 
-  if (!parser->NextLine()) {
-    return parser->Fail("missing 'global_nodes' header");
-  }
-  FLOS_RETURN_IF_ERROR(parser->ExpectWord("global_nodes"));
-  FLOS_RETURN_IF_ERROR(parser->ParseU64("global node count", &u64));
+  FLOS_RETURN_IF_ERROR(ExpectHeader(reader, "global_nodes"));
+  FLOS_RETURN_IF_ERROR(reader->ParseU64("global node count", &u64));
   meta->global_nodes = u64;
-  FLOS_RETURN_IF_ERROR(parser->ExpectEol());
+  FLOS_RETURN_IF_ERROR(reader->ExpectEnd());
 
-  if (!parser->NextLine()) return parser->Fail("missing 'nodes' header");
-  FLOS_RETURN_IF_ERROR(parser->ExpectWord("nodes"));
+  FLOS_RETURN_IF_ERROR(ExpectHeader(reader, "nodes"));
   uint64_t num_local = 0;
   uint64_t num_core = 0;
   uint64_t num_interior = 0;
-  FLOS_RETURN_IF_ERROR(parser->ParseU64("local node count", &num_local));
-  FLOS_RETURN_IF_ERROR(parser->ParseU64("core count", &num_core));
-  FLOS_RETURN_IF_ERROR(parser->ParseU64("interior count", &num_interior));
-  FLOS_RETURN_IF_ERROR(parser->ExpectEol());
+  FLOS_RETURN_IF_ERROR(reader->ParseU64("local node count", &num_local));
+  FLOS_RETURN_IF_ERROR(reader->ParseU64("core count", &num_core));
+  FLOS_RETURN_IF_ERROR(reader->ParseU64("interior count", &num_interior));
+  FLOS_RETURN_IF_ERROR(reader->ExpectEnd());
   if (num_core > num_interior || num_interior > num_local ||
       num_local > meta->global_nodes || num_local > kInvalidNode) {
-    return parser->Fail("node counts must satisfy core <= interior <= "
+    return reader->Fail("node counts must satisfy core <= interior <= "
                         "local <= global");
   }
   meta->num_core = static_cast<NodeId>(num_core);
   meta->num_interior = static_cast<NodeId>(num_interior);
 
-  if (!parser->NextLine()) {
-    return parser->Fail("missing 'external_max_degree' header");
-  }
-  FLOS_RETURN_IF_ERROR(parser->ExpectWord("external_max_degree"));
+  FLOS_RETURN_IF_ERROR(ExpectHeader(reader, "external_max_degree"));
   FLOS_RETURN_IF_ERROR(
-      parser->ParseDouble("external max degree", &meta->external_max_degree));
-  FLOS_RETURN_IF_ERROR(parser->ExpectEol());
+      reader->ParseDouble("external max degree", &meta->external_max_degree));
+  FLOS_RETURN_IF_ERROR(reader->ExpectEnd());
   if (meta->external_max_degree < 0) {
-    return parser->Fail("external_max_degree must be >= 0");
+    return reader->Fail("external_max_degree must be >= 0");
   }
 
   meta->local_to_global.reserve(num_local);
@@ -414,31 +350,32 @@ Status ParseShardMap(MapParser* parser, ShardMeta* meta) {
   std::unordered_set<NodeId> seen;
   seen.reserve(num_local);
   for (uint64_t l = 0; l < num_local; ++l) {
-    if (!parser->NextLine()) {
-      return parser->Fail("truncated map: expected " +
+    if (!NextRow(reader)) {
+      return reader->Fail("truncated map: expected " +
                           std::to_string(num_local) + " node rows, got " +
                           std::to_string(l));
     }
     uint64_t global = 0;
     double degree = 0;
-    FLOS_RETURN_IF_ERROR(parser->ParseU64("global node id", &global));
-    FLOS_RETURN_IF_ERROR(parser->ParseDouble("global degree", &degree));
-    FLOS_RETURN_IF_ERROR(parser->ExpectEol());
+    FLOS_RETURN_IF_ERROR(reader->ParseU64("global node id", &global));
+    FLOS_RETURN_IF_ERROR(reader->ParseDouble("global degree", &degree));
+    FLOS_RETURN_IF_ERROR(reader->ExpectEnd());
     if (global >= meta->global_nodes) {
-      return parser->Fail("global node id out of range");
+      return reader->Fail("global node id out of range");
     }
     if (!seen.insert(static_cast<NodeId>(global)).second) {
-      return parser->Fail("duplicate global node id " +
+      return reader->Fail("duplicate global node id " +
                           std::to_string(global));
     }
-    if (degree < 0) return parser->Fail("negative global degree");
+    if (degree < 0) return reader->Fail("negative global degree");
     meta->local_to_global.push_back(static_cast<NodeId>(global));
     meta->global_degree.push_back(degree);
   }
-  if (parser->NextLine()) {
-    return parser->Fail("trailing rows after " + std::to_string(num_local) +
+  if (NextRow(reader)) {
+    return reader->Fail("trailing rows after " + std::to_string(num_local) +
                         " node rows");
   }
+  FLOS_RETURN_IF_ERROR(reader->status());
   meta->FinalizeDerived();
   return Status::OK();
 }
@@ -446,15 +383,10 @@ Status ParseShardMap(MapParser* parser, ShardMeta* meta) {
 }  // namespace
 
 Result<ShardMeta> ReadShardMap(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::IoError("cannot open shard map: " + path);
-  }
-  MapParser parser(f, path);
+  FLOS_ASSIGN_OR_RETURN(LineReader reader,
+                        LineReader::Open(path, "shard map"));
   ShardMeta meta;
-  const Status status = ParseShardMap(&parser, &meta);
-  std::fclose(f);
-  FLOS_RETURN_IF_ERROR(status);
+  FLOS_RETURN_IF_ERROR(ParseShardMap(&reader, &meta));
   return meta;
 }
 
@@ -475,7 +407,7 @@ Result<Graph> ReadShardGraph(const std::string& path, const ShardMeta& meta) {
     const double global_degree = meta.global_degree[l];
     const double tolerance =
         1e-9 * std::max(1.0, std::abs(global_degree));
-    if (std::abs(local_degree - global_degree) > tolerance) {
+    if (!(std::abs(local_degree - global_degree) <= tolerance)) {
       return Status::Corruption(
           path + ": interior node " + std::to_string(l) +
           " has shard degree " + std::to_string(local_degree) +

@@ -1,5 +1,7 @@
 #include "measures/measure.h"
 
+#include <cctype>
+
 namespace flos {
 
 Direction MeasureDirection(Measure m) {
@@ -42,6 +44,19 @@ std::string MeasureName(Measure m) {
       return "RWR";
   }
   return "?";
+}
+
+Result<Measure> ParseMeasure(std::string_view name) {
+  std::string upper(name);
+  for (char& c : upper) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  for (const Measure m : {Measure::kPhp, Measure::kEi, Measure::kDht,
+                          Measure::kTht, Measure::kRwr}) {
+    if (MeasureName(m) == upper) return m;
+  }
+  return Status::InvalidArgument("unknown measure '" + std::string(name) +
+                                 "' (expected php|ei|dht|tht|rwr)");
 }
 
 }  // namespace flos

@@ -16,6 +16,9 @@
 #define FLOS_MEASURES_MEASURE_H_
 
 #include <string>
+#include <string_view>
+
+#include "util/status.h"
 
 namespace flos {
 
@@ -48,6 +51,10 @@ bool HasNoLocalOptimum(Measure m);
 
 /// Short name, e.g. "PHP".
 std::string MeasureName(Measure m);
+
+/// Inverse of MeasureName, ignoring case ("php" and "PHP" both parse);
+/// InvalidArgument for any other name.
+Result<Measure> ParseMeasure(std::string_view name);
 
 }  // namespace flos
 

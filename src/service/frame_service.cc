@@ -4,19 +4,9 @@
 #include <cstring>
 #include <utility>
 
+#include "util/timer.h"
+
 namespace flos {
-
-namespace {
-
-uint64_t MicrosBetween(std::chrono::steady_clock::time_point from,
-                       std::chrono::steady_clock::time_point to) {
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-          .count();
-  return us > 0 ? static_cast<uint64_t>(us) : 0;
-}
-
-}  // namespace
 
 FrameService::FrameService(FrameServiceOptions options, FrameHandler* handler,
                            ServiceMetrics* metrics)

@@ -5,18 +5,11 @@
 
 #include "core/flos.h"
 #include "core/flos_engine.h"
+#include "util/timer.h"
 
 namespace flos {
 
 namespace {
-
-uint64_t MicrosBetween(std::chrono::steady_clock::time_point from,
-                       std::chrono::steady_clock::time_point to) {
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-          .count();
-  return us > 0 ? static_cast<uint64_t>(us) : 0;
-}
 
 /// A worker's leased engine session, held for the worker's lifetime.
 struct EngineWorkerState final : FrameHandler::WorkerState {

@@ -1,4 +1,5 @@
-// Wall-clock timing helpers for the benchmark harnesses.
+// Wall-clock timing helpers for the benchmark harnesses and the serving
+// layer's latency metrics.
 
 #ifndef FLOS_UTIL_TIMER_H_
 #define FLOS_UTIL_TIMER_H_
@@ -31,6 +32,15 @@ class WallTimer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// Whole microseconds from `from` to `to`, clamped at 0.
+inline uint64_t MicrosBetween(std::chrono::steady_clock::time_point from,
+                              std::chrono::steady_clock::time_point to) {
+  const auto us =
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+          .count();
+  return us > 0 ? static_cast<uint64_t>(us) : 0;
+}
 
 }  // namespace flos
 

@@ -1,11 +1,14 @@
-// knn_cli's batch mode (examples/batch_runner.h): pooled engines answer a
-// batch in input order, agree with serial FlosTopK, and fail as a whole
-// on any bad query.
+// knn_cli's batch mode (examples/batch_runner.h): the batch file parses
+// strictly, pooled engines answer a batch in input order, agree with
+// serial FlosTopK, and fail as a whole on any bad query.
 
 #include "examples/batch_runner.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/flos.h"
@@ -15,6 +18,7 @@
 namespace flos {
 namespace {
 
+using cli::ReadBatchFile;
 using cli::RunBatch;
 using testing::RandomConnectedGraph;
 using testing::ValueOrDie;
@@ -107,6 +111,50 @@ TEST(BatchRunnerTest, AnyInvalidQueryFailsTheWholeBatch) {
   const auto result = RunBatch(g, queries, 5, DefaultOptions(), 4);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
+/// Writes `content` as a batch file and reads it against a 100-node graph.
+Result<std::vector<NodeId>> ReadBatchText(const std::string& content) {
+  const std::string path = ::testing::TempDir() + "/batch.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fwrite(content.data(), 1, content.size(), f);
+  std::fclose(f);
+  Result<std::vector<NodeId>> queries = ReadBatchFile(path, 100);
+  std::remove(path.c_str());
+  return queries;
+}
+
+TEST(BatchFileTest, SkipsBlankAndCommentLines) {
+  EXPECT_EQ(ValueOrDie(ReadBatchText("# queries\n\n 5 \r\n\t# x\n0\n99")),
+            (std::vector<NodeId>{5, 0, 99}));
+}
+
+TEST(BatchFileTest, RejectsMalformedLinesWithTheirNumber) {
+  // Each line must be exactly one id: "12abc" is not query 12, and "7 9"
+  // is not query 7.
+  for (const auto& [content, where] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"# header\n3\n12abc\n", ":3:"},
+           {"1\n7 9\n", ":2:"},
+           {"-4\n", ":1:"},
+           {"18446744073709551616\n", ":1:"}}) {
+    const auto queries = ReadBatchText(content);
+    ASSERT_FALSE(queries.ok()) << content;
+    EXPECT_EQ(queries.status().code(), StatusCode::kCorruption)
+        << queries.status().ToString();
+    EXPECT_NE(queries.status().message().find("batch.txt" + where),
+              std::string::npos)
+        << queries.status().message();
+  }
+}
+
+TEST(BatchFileTest, RejectsNodesOutsideTheGraph) {
+  const auto queries = ReadBatchText("1\n2\n100\n");
+  ASSERT_FALSE(queries.ok());
+  EXPECT_EQ(queries.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(queries.status().message().find("batch.txt:3:"),
+            std::string::npos)
+      << queries.status().message();
 }
 
 }  // namespace

@@ -163,6 +163,37 @@ TEST(LabelFileTest, StrictParseFailures) {
   std::remove(path.c_str());
 }
 
+TEST(LabelFileTest, LongLinesAndNulBytes) {
+  // 120 labels on one line: far past any fixed-size line buffer.
+  std::string line;
+  for (int i = 0; i < 120; ++i) {
+    line += (i == 0 ? "" : ",") + std::string("label_") + std::to_string(i);
+  }
+  ASSERT_GT(line.size(), 511u);
+  const std::string path = TempPath("labels_long.txt");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fprintf(f, "red\n%s\nblue\n", line.c_str());
+  std::fclose(f);
+  const LabelStore store = ValueOrDie(ReadLabelFile(path, 3));
+  EXPECT_EQ(store.Labels(1).size(), 120u);
+  EXPECT_EQ(store.NumLabels(), 122u);
+
+  // A NUL byte is an error on its own line, not a line end.
+  f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  const std::string nul = std::string("red\nbl") + '\0' + "ue\ngreen\n";
+  std::fwrite(nul.data(), 1, nul.size(), f);
+  std::fclose(f);
+  const auto bad = ReadLabelFile(path);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(bad.status().message().find("labels_long.txt:2:"),
+            std::string::npos)
+      << bad.status().message();
+  std::remove(path.c_str());
+}
+
 TEST(LabelGenTest, GeneratorsAreDeterministicPerSeed) {
   LabelGenOptions options;
   options.num_nodes = 500;

@@ -1,5 +1,5 @@
-// Tests for the linear algebra substrate: CSR matrices, the fixed-point
-// solver (paper Algorithm 7), dense and sparse LU, and RCM ordering.
+// Tests for the linear algebra substrate: CSR matrices, dense and sparse
+// LU, and RCM ordering.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "graph/generators.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/dense_matrix.h"
-#include "linalg/iterative_solver.h"
 #include "linalg/lu.h"
 #include "linalg/rcm.h"
 #include "tests/test_util.h"
@@ -53,32 +52,6 @@ TEST(CsrMatrixTest, InfinityNorm) {
   const CsrMatrix m = ValueOrDie(
       CsrMatrix::FromTriplets(2, 2, {{0, 0, -3.0}, {0, 1, 1.0}, {1, 0, 2.0}}));
   EXPECT_DOUBLE_EQ(m.InfinityNorm(), 4.0);
-}
-
-TEST(FixedPointSolveTest, SolvesContractionToTolerance) {
-  // x = A x + b with A = [[0, .5], [.25, 0]], b = [1, 1].
-  const CsrMatrix a = ValueOrDie(
-      CsrMatrix::FromTriplets(2, 2, {{0, 1, 0.5}, {1, 0, 0.25}}));
-  std::vector<double> x(2, 0.0);
-  const SolveInfo info =
-      FixedPointSolve(a, {1.0, 1.0}, 1e-12, 1000, a.InfinityNorm(), &x);
-  EXPECT_TRUE(info.converged);
-  // Exact: x0 = 1 + .5 x1, x1 = 1 + .25 x0 -> x0 = 12/7, x1 = 10/7.
-  EXPECT_NEAR(x[0], 12.0 / 7.0, 1e-10);
-  EXPECT_NEAR(x[1], 10.0 / 7.0, 1e-10);
-  EXPECT_LT(info.error_bound, 1e-10);
-}
-
-TEST(FixedPointSolveTest, WarmStartConvergesFaster) {
-  const CsrMatrix a = ValueOrDie(
-      CsrMatrix::FromTriplets(2, 2, {{0, 1, 0.5}, {1, 0, 0.25}}));
-  std::vector<double> cold(2, 0.0);
-  const SolveInfo cold_info =
-      FixedPointSolve(a, {1.0, 1.0}, 1e-12, 1000, 0.5, &cold);
-  std::vector<double> warm = cold;  // already at the solution
-  const SolveInfo warm_info =
-      FixedPointSolve(a, {1.0, 1.0}, 1e-12, 1000, 0.5, &warm);
-  EXPECT_LT(warm_info.iterations, cold_info.iterations);
 }
 
 TEST(DenseLuTest, SolvesRandomSystems) {

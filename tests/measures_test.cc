@@ -1,9 +1,13 @@
-// Tests for the exact measure solvers, including the paper's worked
-// numbers and the agreement between iterative and dense ground truth.
+// Tests for the measure names and the exact measure solvers, including the
+// paper's worked numbers and the agreement between iterative and dense
+// ground truth.
 
 #include "measures/exact.h"
 
 #include <gtest/gtest.h>
+
+#include <cctype>
+#include <string>
 
 #include "measures/measure.h"
 #include "tests/test_util.h"
@@ -29,6 +33,22 @@ TEST(MeasureTest, DirectionsAndProperties) {
   EXPECT_TRUE(IsCloser(Direction::kMaximize, 2.0, 1.0));
   EXPECT_TRUE(IsCloser(Direction::kMinimize, 1.0, 2.0));
   EXPECT_EQ(MeasureName(Measure::kTht), "THT");
+}
+
+TEST(MeasureTest, ParseMeasureRoundTripsEveryName) {
+  for (const Measure m : {Measure::kPhp, Measure::kEi, Measure::kDht,
+                          Measure::kTht, Measure::kRwr}) {
+    const std::string name = MeasureName(m);
+    EXPECT_EQ(ValueOrDie(ParseMeasure(name)), m) << name;
+    std::string lower = name;
+    for (char& c : lower) c = static_cast<char>(std::tolower(c));
+    EXPECT_EQ(ValueOrDie(ParseMeasure(lower)), m) << lower;
+  }
+  for (const char* bad : {"pagerank", "", "php ", "ph"}) {
+    const auto parsed = ParseMeasure(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ExactPhpTest, PaperPathGraphValues) {

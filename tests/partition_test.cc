@@ -256,5 +256,89 @@ TEST(PartitionValidationTest, RouteTableRejectsNonPartitions) {
   }
 }
 
+/// A valid three-node, one-shard map; the tests below corrupt one line.
+constexpr const char* kValidMap =
+    "# flos shard map: local id = line order\n"  // line 1
+    "shard 0 1\n"                                // line 2
+    "halo_hops 1\n"                              // line 3
+    "global_nodes 3\n"                           // line 4
+    "nodes 3 3 3\n"                              // line 5
+    "external_max_degree 0\n"                    // line 6
+    "0 1\n"                                      // line 7
+    "1 2\n"                                      // line 8
+    "2 1\n";                                     // line 9
+
+/// Replaces the first occurrence of `from` in `text` with `to`.
+std::string Replace(std::string text, const std::string& from,
+                    const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+/// Writes `text` as a shard map and reads it back.
+Result<ShardMeta> ReadMapText(const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/parse_test.map";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  Result<ShardMeta> meta = ReadShardMap(path);
+  std::remove(path.c_str());
+  return meta;
+}
+
+/// Expects `text` to be rejected as Corruption at `<path>:<line>:`.
+void ExpectRejectedAtLine(const std::string& text, int line) {
+  const Result<ShardMeta> meta = ReadMapText(text);
+  ASSERT_FALSE(meta.ok()) << text;
+  EXPECT_EQ(meta.status().code(), StatusCode::kCorruption)
+      << meta.status().ToString();
+  const std::string where = "parse_test.map:" + std::to_string(line) + ":";
+  EXPECT_NE(meta.status().message().find(where), std::string::npos)
+      << "expected " << where << " in " << meta.status().message();
+}
+
+TEST(ShardMapParseTest, ValidMapParses) {
+  const ShardMeta meta = ValueOrDie(ReadMapText(kValidMap));
+  EXPECT_EQ(meta.num_local(), 3u);
+  EXPECT_EQ(meta.global_degree, (std::vector<double>{1, 2, 1}));
+}
+
+TEST(ShardMapParseTest, NonFiniteDegreesAreRejected) {
+  // NaN passes every `< 0` check (and ReadShardGraph's degree cross-check),
+  // so it must be stopped where it is parsed.
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(bad);
+    ExpectRejectedAtLine(Replace(kValidMap, "external_max_degree 0",
+                                 "external_max_degree " + bad),
+                         6);
+    ExpectRejectedAtLine(Replace(kValidMap, "1 2\n", "1 " + bad + "\n"), 8);
+  }
+}
+
+TEST(ShardMapParseTest, LongCommentLineIsOneComment) {
+  // 515 bytes ending in what reads like the row "2 1"; a reader with a
+  // 512-byte line buffer parses that tail as a row. As a comment it is
+  // skipped whole: the complete map still parses, and a map missing its
+  // last row is truncated instead of completed by the comment's tail.
+  const std::string comment = "#" + std::string(510, 'x') + " 2 1\n";
+  const ShardMeta meta =
+      ValueOrDie(ReadMapText(Replace(kValidMap, "2 1\n", comment + "2 1\n")));
+  EXPECT_EQ(meta.local_to_global, (std::vector<NodeId>{0, 1, 2}));
+  ExpectRejectedAtLine(Replace(kValidMap, "2 1\n", comment), 9);
+}
+
+TEST(ShardMapParseTest, StructuralErrorsCarryTheirLine) {
+  ExpectRejectedAtLine(Replace(kValidMap, "halo_hops 1\n", ""), 3);
+  ExpectRejectedAtLine(Replace(kValidMap, "1 2\n", "0 2\n"), 8);
+  ExpectRejectedAtLine(std::string(kValidMap) + "3 1\n", 10);
+  ExpectRejectedAtLine(std::string(kValidMap) + "# c" + '\0' + "\n", 10);
+  ExpectRejectedAtLine(Replace(kValidMap, "shard 0 1", "shard 0 1x"), 2);
+  ExpectRejectedAtLine(Replace(kValidMap, "nodes 3 3 3", "nodes 3 3 -3"), 5);
+  ExpectRejectedAtLine(
+      Replace(kValidMap, "global_nodes 3", "global_nodes 18446744073709551616"),
+      4);
+}
+
 }  // namespace
 }  // namespace flos

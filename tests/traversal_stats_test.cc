@@ -166,6 +166,29 @@ TEST(EdgeListIoTest, TrailingGarbageAfterWeightFails) {
   EXPECT_NE(s.message().find(":1:"), std::string::npos) << s.message();
 }
 
+TEST(EdgeListIoTest, LongCommentLineIsSkippedWhole) {
+  // A 515-byte comment whose last bytes read like an edge: a reader that
+  // splits long lines would parse the tail " 3 4" as edge 3-4.
+  const std::string comment = "#" + std::string(510, 'x') + " 3 4";
+  ASSERT_EQ(comment.size(), 515u);
+  const std::string path = ::testing::TempDir() + "/longcomment.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fprintf(f, "%s\n0 1\n", comment.c_str());
+  std::fclose(f);
+  const Graph g = ValueOrDie(ReadEdgeList(path));
+  EXPECT_EQ(g.NumNodes(), 2u) << "the comment's tail must not add nodes";
+  EXPECT_EQ(g.NumEdges(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(EdgeListIoTest, NulByteInsideALineFailsWithLineNumber) {
+  const Status s =
+      ReadContent("nul.txt", std::string("0 1\n1 2") + '\0' + " zzz\n");
+  ASSERT_FALSE(s.ok()) << "a NUL byte must not end the line silently";
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find(":2:"), std::string::npos) << s.message();
+}
+
 TEST(EdgeListIoTest, MissingWeightColumnStillDefaultsToOne) {
   const std::string path = ::testing::TempDir() + "/noweight.txt";
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <string>
@@ -13,6 +14,7 @@
 #include "tests/test_util.h"
 #include "util/flags.h"
 #include "util/huge_page_allocator.h"
+#include "util/line_reader.h"
 #include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -231,6 +233,110 @@ TEST(FlagParserTest, RangedIntAcceptsTheFullRangeAtItsEnds) {
         << bad;
     EXPECT_EQ(queue, 1048576) << bad;
   }
+}
+
+/// Writes `content` to a temp file and opens a LineReader on it.
+Result<LineReader> OpenText(const std::string& content) {
+  const std::string path = ::testing::TempDir() + "/line_reader.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fwrite(content.data(), 1, content.size(), f);
+  std::fclose(f);
+  Result<LineReader> reader = LineReader::Open(path, "test file");
+  std::remove(path.c_str());  // the open file stays readable
+  return reader;
+}
+
+TEST(LineReaderTest, ReadsLinesOfAnyLength) {
+  // 200 KiB spans several refills and buffer doublings; CRLF endings and
+  // a final line without '\n' read like any other line.
+  const std::string huge(200 << 10, 'a');
+  auto opened = OpenText("one\r\n" + huge + "\n\nlast");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  LineReader& reader = *opened;
+  std::vector<std::string> lines;
+  while (reader.Next()) lines.emplace_back(reader.line());
+  FLOS_EXPECT_OK(reader.status());
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0], "one\r");
+  EXPECT_EQ(lines[1], huge);
+  EXPECT_EQ(lines[2], "");
+  EXPECT_EQ(lines[3], "last");
+  EXPECT_NE(reader.At("").find("line_reader.txt:4:"), std::string::npos);
+}
+
+TEST(LineReaderTest, MissingFileIsAnIoError) {
+  const auto reader = LineReader::Open("/nonexistent/dir/file", "edge list");
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+  EXPECT_NE(reader.status().message().find("edge list"), std::string::npos);
+}
+
+TEST(LineReaderTest, NumberTokensAreWholeFiniteAndInRange) {
+  auto opened = OpenText(
+      " word 42\t0 18446744073709551615 1.5e3 -2 4.9e-324\r\n"
+      "-1\n18446744073709551616\n12abc\n+3\n1.5x\nnan\ninf\n1e400\n");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  LineReader& reader = *opened;
+  ASSERT_TRUE(reader.Next());
+  uint64_t u = 0;
+  double d = 0;
+  FLOS_EXPECT_OK(reader.ExpectWord("word"));
+  FLOS_EXPECT_OK(reader.ParseU64("a", &u));
+  EXPECT_EQ(u, 42u);
+  FLOS_EXPECT_OK(reader.ParseU64("b", &u));
+  EXPECT_EQ(u, 0u);
+  FLOS_EXPECT_OK(reader.ParseU64("c", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  FLOS_EXPECT_OK(reader.ParseDouble("d", &d));
+  EXPECT_EQ(d, 1500.0);
+  FLOS_EXPECT_OK(reader.ParseDouble("e", &d));
+  EXPECT_EQ(d, -2.0) << "a negative double is the caller's to judge";
+  FLOS_EXPECT_OK(reader.ParseDouble("f", &d));
+  EXPECT_GT(d, 0.0) << "subnormals parse";
+  FLOS_EXPECT_OK(reader.ExpectEnd());
+
+  // Each remaining line is one bad token; every error names its line.
+  for (uint64_t line = 2; reader.Next(); ++line) {
+    const bool integer = line <= 5;
+    const Status s = integer ? reader.ParseU64("id", &u)
+                             : reader.ParseDouble("weight", &d);
+    ASSERT_FALSE(s.ok()) << reader.line();
+    EXPECT_EQ(s.code(), StatusCode::kCorruption);
+    EXPECT_NE(s.message().find(":" + std::to_string(line) + ":"),
+              std::string::npos)
+        << s.message();
+  }
+  FLOS_EXPECT_OK(reader.status());
+  EXPECT_NE(reader.At("").find(":9:"), std::string::npos) << "9 lines read";
+}
+
+TEST(LineReaderTest, WordsMustStandAloneAndLinesMustEnd) {
+  auto opened = OpenText("shards 1\nshard 1 2\n");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  LineReader& reader = *opened;
+  ASSERT_TRUE(reader.Next());
+  EXPECT_FALSE(reader.ExpectWord("shard").ok()) << "prefix of a token";
+  ASSERT_TRUE(reader.Next());
+  uint64_t u = 0;
+  FLOS_EXPECT_OK(reader.ExpectWord("shard"));
+  FLOS_EXPECT_OK(reader.ParseU64("index", &u));
+  const Status s = reader.ExpectEnd();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find(":2: trailing garbage: '2'"), std::string::npos)
+      << s.message();
+}
+
+TEST(LineReaderTest, NulByteStopsTheReadWithItsLine) {
+  auto opened = OpenText(std::string("ok\nb") + '\0' + "d\nnever\n");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  LineReader& reader = *opened;
+  ASSERT_TRUE(reader.Next());
+  EXPECT_FALSE(reader.Next());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reader.status().message().find(":2:"), std::string::npos);
+  EXPECT_FALSE(reader.Next()) << "a failed reader stays failed";
+  EXPECT_EQ(reader.Fail("missing row").message(), reader.status().message())
+      << "later errors must not mask the unreadable line";
 }
 
 TEST(TablePrinterTest, FormatsDoubles) {
