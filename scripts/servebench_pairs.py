@@ -19,9 +19,10 @@ Steps:
   2. `--pairs` untraced pairs; pair i uses seed `seed0 + i` on both sides,
      and the side that runs first alternates from pair to pair.
   3. Per end-to-end metric: median and quartiles of each side, the ratio
-     of the medians, and on how many pairs the candidate was better
-     (direction from BENCHMARK.json), then every pair's values.
-     peak_rss_mb comes from the context line and is reported, not judged.
+     of the medians, on how many pairs the candidate was better
+     (direction from BENCHMARK.json) and a verdict (see `verdict`), then
+     every pair's values. peak_rss_mb comes from the context line and is
+     reported, not judged.
 
 Exits 1 if an undeclared replay count differs, or if any run is not `correct` or
 reports failed operations; timings never fail the script.
@@ -74,6 +75,32 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def verdict(base, head, better, bound):
+    """Judges one end-to-end metric from paired runs (base[i] pairs head[i]).
+
+    `better` is "higher" or "lower" and `bound` the tolerated relative
+    change, both from BENCHMARK.json. In order:
+      "worse"         the head median is worse than the base median by more
+                      than `bound` of it;
+      "unresolved"    either side's quartile spread exceeds `bound` of its
+                      median, too wide to tell;
+      "gain"          the head wins at least 9 in 10 pairs (ties win for
+                      neither side) and its median is better by more than
+                      the base's quartile spread;
+      "within bound"  otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    bq, hq = quartiles(base), quartiles(head)
+    if sign * (bq[1] - hq[1]) > bound * abs(bq[1]):
+        return "worse"
+    if any(q[2] - q[0] > bound * abs(q[1]) for q in (bq, hq)):
+        return "unresolved"
+    if 10 * wins >= 9 * len(base) and sign * (hq[1] - bq[1]) > bq[2] - bq[0]:
+        return "gain"
+    return "within bound"
+
+
 def healthy(result, side, problems):
     if result["correct"] is not True or result["failed"] != 0:
         problems.append(f"{side}: correct={result['correct']} "
@@ -82,8 +109,7 @@ def healthy(result, side, problems):
 
 def compare(base_dir, args):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"]
-                  for m in json.load(f)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(f)["end_to_end"]}
     problems = []
     sides = (("base", base_dir), ("head", ROOT))
 
@@ -99,12 +125,12 @@ def compare(base_dir, args):
     for name in sorted(set(base_t) | set(head_t)):
         b, h = base_t.get(name), head_t.get(name)
         if name.startswith("replay.") and name not in args.expect_diff:
-            verdict = "same" if b == h else "DIFF"
+            note = "same" if b == h else "DIFF"
             if b != h:
                 problems.append(f"{name} differs")
         else:
-            verdict = f"{h / b:.3f}" if b and h is not None else "-"
-        print(f"  {name:40s} base {b!s:>14.14}  head {h!s:>14.14}  {verdict}")
+            note = f"{h / b:.3f}" if b and h is not None else "-"
+        print(f"  {name:40s} base {b!s:>14.14}  head {h!s:>14.14}  {note}")
 
     # 2. Alternated pairs.
     runs = {"base": [], "head": []}
@@ -127,26 +153,28 @@ def compare(base_dir, args):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
     print(f"  {'metric':16s} {'base median [q1, q3]':>32s} "
-          f"{'head median [q1, q3]':>32s} {'ratio':>7s}  wins")
+          f"{'head median [q1, q3]':>32s} {'ratio':>7s}  wins   verdict")
     for name in sorted(set(runs["base"][0]) & set(runs["head"][0])):
         b = [r[name] for r in runs["base"]]
         h = [r[name] for r in runs["head"]]
         bq, hq = quartiles(b), quartiles(h)
         ratio = hq[1] / bq[1] if bq[1] else float("nan")
-        wins = "-"
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
+        wins, judged = "-", ""
+        if name in end_to_end:
+            metric = end_to_end[name]
+            sign = 1 if metric["better"] == "higher" else -1
             won = sum(sign * (y - x) > 0 for x, y in zip(b, h))
             wins = f"{won}/{args.pairs}"
+            judged = verdict(b, h, metric["better"], metric["bound"])
         print(f"  {name:16s} {spread(bq):>32s} {spread(hq):>32s} "
-              f"{ratio:7.3f}  {wins}")
+              f"{ratio:7.3f}  {wins:6s} {judged}")
     for side in ("base", "head"):
         print(f"  peak_rss_mb {side}: median {statistics.median(rss[side]):.1f}")
     print("every pair, base -> head:")
     for i in range(args.pairs):
         cells = [f"{name} {runs['base'][i][name]:.4g} -> "
                  f"{runs['head'][i][name]:.4g}"
-                 for name in better if name in runs["base"][i]]
+                 for name in end_to_end if name in runs["base"][i]]
         print(f"  seed {args.seed0 + i}: " + ", ".join(cells))
     for p in problems:
         print(f"PROBLEM: {p}")

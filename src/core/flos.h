@@ -138,6 +138,10 @@ struct FlosStats {
   /// set and the sweeps from its converged bounds. The answer itself was
   /// still computed (and certified) by THIS run — contrast cache_hit.
   bool subgraph_hit = false;
+  /// True iff this run deposited its certified state into the warm-subgraph
+  /// cache (the tier admitted the seed: a repeat miss, or a warm run that
+  /// moved past its cached entry).
+  bool subgraph_deposited = false;
   /// Coarse per-phase wall-clock breakdown, accumulated at outer-iteration
   /// granularity: frontier ranking + expansion fetches + growth, bound
   /// solves (sweeps / horizon DP), and termination checks + result

@@ -613,20 +613,24 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     result.topk.push_back(out);
   }
   phase_lap(&stats.select_ns);
-  if (cacheable && stats.exact) query_cache_->Insert(cache_key, result);
   // Deposit the expanded state for future warm starts. Only certified
   // completions (their bounds are reusable facts, like QueryCache's rule),
-  // and only when this run actually advanced past the snapshot it resumed
-  // from — a warm hit that certified instantly would only churn the LRU.
+  // only when this run actually advanced past the snapshot it resumed
+  // from — a warm hit that certified instantly would only churn the LRU —
+  // and only for a key the tier admits (a repeat miss or a cached key), so
+  // a one-off seed costs no copy of its state.
   if (subgraph_eligible && stats.exact &&
-      (!warm_hit || stats.expansions > 0 || stats.inner_iterations > 0)) {
+      (!warm_hit || stats.expansions > 0 || stats.inner_iterations > 0) &&
+      subgraph_cache_->Admit(subgraph_key)) {
     auto snap = std::make_shared<SubgraphSnapshot>();
     local_.SaveSnapshot(&snap->local);
     bounds_.SaveBounds(&snap->bounds);
     snap->dummy_mesh = bounds_.dummy_value();
     snap->dummy_tight = bounds_.tight_dummy_value();
     subgraph_cache_->Insert(subgraph_key, std::move(snap));
+    stats.subgraph_deposited = true;
   }
+  if (cacheable && stats.exact) query_cache_->Insert(cache_key, result);
   return result;
 }
 

@@ -1,11 +1,30 @@
 #include "core/subgraph_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
 #include "util/check.h"
 
 namespace flos {
+
+namespace {
+
+// Ghost slots per cached entry. A one-off seed's record must survive long
+// enough for a real repeat to find it: with 16 slots per entry, a key is
+// remembered across about 16 x capacity other refused keys.
+constexpr size_t kGhostSlotsPerEntry = 16;
+constexpr size_t kMinGhostSlots = 1024;
+
+}  // namespace
+
+SubgraphCache::SubgraphCache(size_t capacity) : lru_(capacity) {
+  if (capacity > 0) {
+    ghost_.assign(std::bit_ceil(std::max(kMinGhostSlots,
+                                         kGhostSlotsPerEntry * capacity)),
+                  0);
+  }
+}
 
 size_t SubgraphCache::KeyHash::operator()(const Key& key) const {
   // Alpha hashes by bit pattern (keys are compared exactly, so -0.0 vs 0.0
@@ -36,19 +55,37 @@ std::shared_ptr<const SubgraphSnapshot> SubgraphCache::Lookup(const Key& key) {
   return entry->snap;
 }
 
+bool SubgraphCache::Admit(const Key& key) {
+  MutexLock lock(mu_);
+  if (ghost_.empty()) return false;  // capacity 0
+  if (lru_.Get(key) != nullptr) return true;
+  // 0 marks an empty slot, so a key hashing to 0 is recorded as 1.
+  const uint64_t h = std::max<uint64_t>(KeyHash{}(key), 1);
+  uint64_t& slot = ghost_[h & (ghost_.size() - 1)];
+  if (slot == h) return true;
+  slot = h;
+  return false;
+}
+
 void SubgraphCache::Insert(const Key& key,
                            std::shared_ptr<const SubgraphSnapshot> snap) {
   if (snap == nullptr) return;
   FLOS_DCHECK(snap->bounds.size() ==
                   2 * static_cast<size_t>(snap->local.Size()),
               "snapshot bound vector does not match its visited set");
-  MutexLock lock(mu_);
-  lru_.Put(key, Entry{key.epoch, std::move(snap)});
+  // The replaced and evicted entries may hold the last reference to a
+  // snapshot of many MB: destroy them after the lock is released.
+  std::vector<Entry> displaced;
+  {
+    MutexLock lock(mu_);
+    lru_.Put(key, Entry{key.epoch, std::move(snap)}, 1, &displaced);
+  }
 }
 
 void SubgraphCache::Clear() {
   MutexLock lock(mu_);
   lru_.Clear();
+  std::fill(ghost_.begin(), ghost_.end(), 0);
 }
 
 size_t SubgraphCache::size() const {

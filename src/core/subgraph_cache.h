@@ -39,12 +39,24 @@
 // itself (tolerance tightenings, self-loop constructions) are fixed per
 // server — the same assumption QueryCache documents.
 //
+// Admission: a snapshot costs a copy of the whole search state, and a seed
+// asked once never pays it back (uniform traffic over a large graph almost
+// never repeats a seed). So Admit() lets a key in only when it is already
+// cached (a warm run that moved forward refreshes its entry) or when a
+// small direct-mapped ghost table of key hashes saw it once before; a
+// first miss is only recorded there. The engine builds a snapshot only
+// after Admit() says yes. Admission decides WHETHER to deposit, never what
+// a hit serves: a hit still needs the exact key, and the epoch audit below
+// still applies, so a ghost collision costs at most one extra deposit.
+//
 // Snapshots are immutable once inserted and handed out as
 // shared_ptr<const>, so a reader never blocks an evictor: the LRU can drop
 // an entry while an engine is still restoring from it. Thread-safe: one
-// mutex guards the LRU (util/lru_cache.h; a leaf lock in the concurrency
-// contract — see DESIGN.md; FLOS_GUARDED_BY makes the compiler enforce
-// it); the critical section is a hash probe plus a shared_ptr copy.
+// mutex guards the LRU and the ghost table (util/lru_cache.h; a leaf lock
+// in the concurrency contract — see DESIGN.md; FLOS_GUARDED_BY makes the
+// compiler enforce it); the critical section is a hash probe plus a
+// shared_ptr copy. Snapshots displaced by an insert are destroyed after
+// the lock is released, so freeing a large one never stalls a Lookup.
 
 #ifndef FLOS_CORE_SUBGRAPH_CACHE_H_
 #define FLOS_CORE_SUBGRAPH_CACHE_H_
@@ -104,8 +116,8 @@ class SubgraphCache {
   }
 
   /// Keeps at most `capacity` entries (0 disables the cache: every lookup
-  /// misses, every insert is dropped).
-  explicit SubgraphCache(size_t capacity) : lru_(capacity) {}
+  /// misses, nothing is admitted, every insert is dropped).
+  explicit SubgraphCache(size_t capacity);
 
   SubgraphCache(const SubgraphCache&) = delete;
   SubgraphCache& operator=(const SubgraphCache&) = delete;
@@ -115,11 +127,18 @@ class SubgraphCache {
   std::shared_ptr<const SubgraphSnapshot> Lookup(const Key& key)
       FLOS_EXCLUDES(mu_);
 
-  /// Admits a snapshot (replaces an existing entry for the same key).
+  /// The repeat-miss admission rule (file comment): true when `key` is
+  /// cached or was recorded by an earlier Admit() call; otherwise records
+  /// it and returns false. Callers build and Insert a snapshot only on
+  /// true.
+  bool Admit(const Key& key) FLOS_EXCLUDES(mu_);
+
+  /// Stores a snapshot (replaces an existing entry for the same key).
+  /// Insert itself does not consult Admit().
   void Insert(const Key& key, std::shared_ptr<const SubgraphSnapshot> snap)
       FLOS_EXCLUDES(mu_);
 
-  /// Drops every entry (counters are kept).
+  /// Drops every entry and the admission history (counters are kept).
   void Clear() FLOS_EXCLUDES(mu_);
 
   size_t size() const FLOS_EXCLUDES(mu_);
@@ -146,6 +165,9 @@ class SubgraphCache {
 
   mutable Mutex mu_;
   LruCache<Key, Entry, KeyHash> lru_ FLOS_GUARDED_BY(mu_);
+  /// Ghost table: direct-mapped KeyHash values of recently refused keys
+  /// (0 = empty slot); a power-of-two size, empty when capacity is 0.
+  std::vector<uint64_t> ghost_ FLOS_GUARDED_BY(mu_);
   uint64_t hits_ FLOS_GUARDED_BY(mu_) = 0;
   uint64_t misses_ FLOS_GUARDED_BY(mu_) = 0;
 };

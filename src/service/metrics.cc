@@ -133,6 +133,7 @@ ServiceMetrics::ServiceMetrics() {
   registry.RegisterCounter("cache_misses", &cache_misses);
   registry.RegisterCounter("subgraph_hits", &subgraph_hits);
   registry.RegisterCounter("subgraph_misses", &subgraph_misses);
+  registry.RegisterCounter("subgraph_deposits", &subgraph_deposits);
   registry.RegisterCounter("deadline_expiries", &deadline_expiries);
   registry.RegisterCounter("stats_requests", &stats_requests);
   registry.RegisterGauge("queue_depth", &queue_depth);

@@ -128,6 +128,7 @@ struct ServiceMetrics {
   Counter cache_misses;             ///< ran the search (cache enabled)
   Counter subgraph_hits;    ///< searches resumed from a warm subgraph
   Counter subgraph_misses;  ///< searches expanded from scratch (cache on)
+  Counter subgraph_deposits;  ///< searches that stored a warm subgraph
   Counter deadline_expiries;
   Counter stats_requests;
   Gauge queue_depth;

@@ -224,6 +224,9 @@ QueryResponse ServiceServer::HandleQuery(
       } else {
         metrics_.subgraph_misses.Increment();
       }
+      if (result->stats.subgraph_deposited) {
+        metrics_.subgraph_deposits.Increment();
+      }
     }
     resp.visited = result->stats.visited_nodes;
     resp.wall_us = MicrosBetween(serve_start, serve_end);

@@ -15,9 +15,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace flos {
 
@@ -49,22 +51,27 @@ class LruCache {
 
   /// Inserts (or replaces) `key` as the most recently used entry, then
   /// evicts least-recently-used entries until the total charge fits. A
-  /// value whose charge alone exceeds the capacity is not cached.
-  void Put(const Key& key, Value value, uint64_t charge = 1) {
+  /// value whose charge alone exceeds the capacity is not cached. When
+  /// `displaced` is non-null, the replaced and evicted values are moved
+  /// into it instead of being destroyed here, so a caller holding a lock
+  /// can destroy them after releasing it.
+  void Put(const Key& key, Value value, uint64_t charge = 1,
+           std::vector<Value>* displaced = nullptr) {
     const auto it = index_.find(key);
     if (it != index_.end()) {
-      used_ -= it->second->charge;
-      entries_.erase(it->second);
+      Drop(it->second, displaced);
       index_.erase(it);
     }
-    if (charge > capacity_) return;  // would never fit
+    if (charge > capacity_) {  // would never fit
+      if (displaced != nullptr) displaced->push_back(std::move(value));
+      return;
+    }
     used_ += charge;
     entries_.push_front(Entry{key, std::move(value), charge});
     index_.emplace(key, entries_.begin());
     while (used_ > capacity_) {
-      used_ -= entries_.back().charge;
       index_.erase(entries_.back().key);
-      entries_.pop_back();
+      Drop(std::prev(entries_.end()), displaced);
     }
   }
 
@@ -84,6 +91,14 @@ class LruCache {
     Value value;
     uint64_t charge;
   };
+
+  void Drop(typename std::list<Entry>::iterator entry,
+            std::vector<Value>* displaced) {
+    used_ -= entry->charge;
+    if (displaced != nullptr) displaced->push_back(std::move(entry->value));
+    entries_.erase(entry);
+  }
+
   uint64_t capacity_;
   uint64_t used_ = 0;
   /// front = most recent

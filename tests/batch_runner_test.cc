@@ -114,8 +114,13 @@ TEST(BatchRunnerTest, AnyInvalidQueryFailsTheWholeBatch) {
 }
 
 /// Writes `content` as a batch file and reads it against a 100-node graph.
+/// The file is named after the running test: ctest runs each test in its
+/// own process, in parallel, so a shared name would race.
 Result<std::vector<NodeId>> ReadBatchText(const std::string& content) {
-  const std::string path = ::testing::TempDir() + "/batch.txt";
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      "_batch.txt";
   std::FILE* f = std::fopen(path.c_str(), "w");
   std::fwrite(content.data(), 1, content.size(), f);
   std::fclose(f);

@@ -278,7 +278,11 @@ std::string Replace(std::string text, const std::string& from,
 
 /// Writes `text` as a shard map and reads it back.
 Result<ShardMeta> ReadMapText(const std::string& text) {
-  const std::string path = ::testing::TempDir() + "/parse_test.map";
+  // Named after the running test: ctest runs tests in parallel processes.
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      "_parse_test.map";
   std::FILE* f = std::fopen(path.c_str(), "w");
   std::fwrite(text.data(), 1, text.size(), f);
   std::fclose(f);

@@ -209,9 +209,18 @@ TEST_F(ServiceTest, RepeatSeedResumesFromTheWarmSubgraphTier) {
   ASSERT_EQ(first.status, StatusCode::kOk) << first.message;
   ASSERT_TRUE(first.certified);
   EXPECT_FALSE(first.subgraph_hit) << "cold seed cannot be warm";
+  EXPECT_EQ(server_->metrics().subgraph_deposits.value(), 0u)
+      << "a first miss only records the seed";
 
   // Same seed, different k: misses the result cache (k is in its key)
-  // but resumes from the warm subgraph — and the wire flag says so.
+  // and, as a repeat subgraph miss, deposits its expanded state.
+  req.k = 7;
+  const QueryResponse repeat = ValueOrDie(client.Query(req));
+  ASSERT_EQ(repeat.status, StatusCode::kOk) << repeat.message;
+  EXPECT_FALSE(repeat.subgraph_hit);
+  EXPECT_EQ(server_->metrics().subgraph_deposits.value(), 1u);
+
+  // A third k resumes from the warm subgraph — and the wire flag says so.
   req.k = 5;
   const QueryResponse second = ValueOrDie(client.Query(req));
   ASSERT_EQ(second.status, StatusCode::kOk) << second.message;
@@ -220,7 +229,10 @@ TEST_F(ServiceTest, RepeatSeedResumesFromTheWarmSubgraphTier) {
       << "repeat seed must resume from the warm-subgraph tier";
   EXPECT_TRUE(second.certified);
   EXPECT_EQ(server_->metrics().subgraph_hits.value(), 1u);
-  EXPECT_EQ(server_->metrics().subgraph_misses.value(), 1u);
+  EXPECT_EQ(server_->metrics().subgraph_misses.value(), 2u);
+  // Separating the 5th node from the 6th took this resume further than
+  // the k = 7 state, and a warm run that moved forward refreshes its entry.
+  EXPECT_EQ(server_->metrics().subgraph_deposits.value(), 2u);
 
   // A result-cache hit reports only cache_hit: the stored answer is
   // returned outright, no search resumed, and neither subgraph counter
@@ -230,10 +242,13 @@ TEST_F(ServiceTest, RepeatSeedResumesFromTheWarmSubgraphTier) {
   EXPECT_TRUE(third.cache_hit);
   EXPECT_FALSE(third.subgraph_hit);
   EXPECT_EQ(server_->metrics().subgraph_hits.value(), 1u);
-  EXPECT_EQ(server_->metrics().subgraph_misses.value(), 1u);
+  EXPECT_EQ(server_->metrics().subgraph_misses.value(), 2u);
 
   const QueryResponse stats = ValueOrDie(client.Stats());
   EXPECT_NE(stats.message.find("counter subgraph_hits 1"), std::string::npos)
+      << stats.message;
+  EXPECT_NE(stats.message.find("counter subgraph_deposits 2"),
+            std::string::npos)
       << stats.message;
   EXPECT_NE(stats.message.find("ratio subgraph_hit_ratio"),
             std::string::npos)

@@ -1,15 +1,19 @@
 // Tests for the warm-subgraph cache (core/subgraph_cache.h): LRU and
-// keying unit tests mirroring query_cache_test.cc, the end-to-end warm
-// path (a warm resume answers exactly what a cold search answers, across
-// k values and the measures sharing a fixed point), exact epoch-based
-// invalidation against a mutating DynamicGraph, and the FLOS_AUDIT
-// backstop that a stale-epoch snapshot is never served.
+// keying unit tests mirroring query_cache_test.cc, the repeat-miss
+// admission rule, eviction that never destroys a snapshot under the lock,
+// the end-to-end warm path (a warm resume answers exactly what a cold
+// search answers, across k values and the measures sharing a fixed
+// point), exact epoch-based invalidation against a mutating DynamicGraph,
+// and the FLOS_AUDIT backstop that a stale-epoch snapshot is never served.
 
 #include "core/subgraph_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/flos.h"
@@ -115,6 +119,8 @@ TEST(SubgraphCacheTest, EvictsLeastRecentlyUsed) {
 
 TEST(SubgraphCacheTest, ZeroCapacityDisablesAdmission) {
   SubgraphCache cache(0);
+  EXPECT_FALSE(cache.Admit(TestKey(1)));
+  EXPECT_FALSE(cache.Admit(TestKey(1))) << "capacity 0 admits nothing";
   cache.Insert(TestKey(1), FakeSnapshot(1));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Lookup(TestKey(1)), nullptr);
@@ -130,6 +136,66 @@ TEST(SubgraphCacheTest, SnapshotSurvivesEviction) {
   cache.Insert(TestKey(2), FakeSnapshot(2));  // evicts key 1
   EXPECT_EQ(cache.Lookup(TestKey(1)), nullptr);
   EXPECT_EQ(held->local.query, 1u) << "held snapshot must stay readable";
+}
+
+TEST(SubgraphCacheTest, FirstMissIsRecordedNotAdmitted) {
+  SubgraphCache cache(4);
+  EXPECT_FALSE(cache.Admit(TestKey(7)))
+      << "a seed seen once must not pay for a snapshot";
+  EXPECT_FALSE(cache.Admit(TestKey(8)));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(SubgraphCacheTest, SecondMissIsAdmitted) {
+  SubgraphCache cache(4);
+  ASSERT_FALSE(cache.Admit(TestKey(7)));
+  EXPECT_TRUE(cache.Admit(TestKey(7)))
+      << "a repeat miss must be admitted";
+  EXPECT_FALSE(cache.Admit(TestKey(7, /*epoch=*/1)))
+      << "the epoch is part of the key: a new topology starts over";
+}
+
+TEST(SubgraphCacheTest, CachedKeyIsAdmitted) {
+  // A warm run that moved past its entry refreshes it without first
+  // being recorded as a miss.
+  SubgraphCache cache(4);
+  cache.Insert(TestKey(7), FakeSnapshot(7));
+  EXPECT_TRUE(cache.Admit(TestKey(7)));
+}
+
+TEST(SubgraphCacheTest, EvictedSnapshotIsFreedOutsideTheLock) {
+  // The snapshot's deleter runs wherever its last reference dies, here
+  // inside the Insert that evicts it. It waits up to 2 s for a Lookup on
+  // another thread; that Lookup can only finish meanwhile if Insert has
+  // released the cache lock before destroying what it evicted.
+  SubgraphCache cache(1);
+  std::atomic<bool> deleting{false};
+  std::atomic<bool> lookup_done{false};
+  bool lookup_finished_first = false;
+  cache.Insert(
+      TestKey(1),
+      std::shared_ptr<const SubgraphSnapshot>(
+          new SubgraphSnapshot(*FakeSnapshot(1)),
+          [&](const SubgraphSnapshot* snap) {
+            deleting = true;
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(2);
+            while (!lookup_done && std::chrono::steady_clock::now() < give_up) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            lookup_finished_first = lookup_done;
+            delete snap;
+          }));
+  std::thread reader([&] {
+    while (!deleting) std::this_thread::yield();
+    (void)cache.Lookup(TestKey(3));
+    lookup_done = true;
+  });
+  cache.Insert(TestKey(2), FakeSnapshot(2));  // evicts key 1
+  reader.join();
+  EXPECT_TRUE(lookup_finished_first)
+      << "a Lookup stalled behind the destruction of an evicted snapshot";
+  EXPECT_NE(cache.Lookup(TestKey(2)), nullptr);
 }
 
 // --------------------------------------------------------------------------
@@ -152,10 +218,16 @@ TEST(SubgraphCacheTest, WarmResumeAnswersEqualColdGroundTruth) {
   FlosOptions options;
   options.measure = Measure::kPhp;
 
+  const FlosResult first = ValueOrDie(engine.TopK(q, 10, options));
+  ASSERT_TRUE(first.stats.exact);
+  EXPECT_FALSE(first.stats.subgraph_deposited);
+  EXPECT_EQ(cache.size(), 0u) << "a first miss only records the seed";
+
   const FlosResult cold = ValueOrDie(engine.TopK(q, 10, options));
   ASSERT_TRUE(cold.stats.exact);
   EXPECT_FALSE(cold.stats.subgraph_hit);
-  EXPECT_EQ(cache.size(), 1u) << "certified completion must deposit";
+  EXPECT_TRUE(cold.stats.subgraph_deposited);
+  EXPECT_EQ(cache.size(), 1u) << "certified repeat miss must deposit";
 
   const FlosResult warm = ValueOrDie(engine.TopK(q, 10, options));
   EXPECT_TRUE(warm.stats.subgraph_hit);
@@ -181,6 +253,7 @@ TEST(SubgraphCacheTest, SnapshotRoundTripIsLosslessAndCertifies) {
   FlosOptions options;
   options.measure = Measure::kPhp;
   const NodeId q = 11;
+  (void)ValueOrDie(engine.TopK(q, 10, options));  // records the seed
   const FlosResult cold = ValueOrDie(engine.TopK(q, 10, options));
   ASSERT_TRUE(cold.stats.exact);
   const auto deposit = cache.Lookup(SubgraphCache::MakeKey(
@@ -232,6 +305,7 @@ TEST(SubgraphCacheTest, SnapshotServesDifferentKAndSharedMeasures) {
   FlosOptions options;
   options.measure = Measure::kPhp;
   options.c = 0.5;
+  (void)ValueOrDie(engine.TopK(8, 10, options));  // records the seed
   const FlosResult cold = ValueOrDie(engine.TopK(8, 10, options));
   ASSERT_TRUE(cold.stats.exact);
   ASSERT_EQ(cache.size(), 1u);
@@ -283,7 +357,11 @@ TEST(SubgraphCacheTest, EpochBumpInvalidatesExactly) {
     EXPECT_EQ(after.topk[i].node, fresh.topk[i].node);
     EXPECT_NEAR(after.topk[i].score, fresh.topk[i].score, 1e-12);
   }
-  // The post-update run deposits under the new epoch: next query is warm.
+  // The post-update run was a first miss under the new epoch; the next
+  // one deposits, and the query after that is warm.
+  EXPECT_FALSE(after.stats.subgraph_deposited);
+  const FlosResult again = ValueOrDie(engine.TopK(q, 8, options));
+  EXPECT_TRUE(again.stats.subgraph_deposited);
   const FlosResult warm = ValueOrDie(engine.TopK(q, 8, options));
   EXPECT_TRUE(warm.stats.subgraph_hit);
 }
@@ -296,15 +374,21 @@ TEST(SubgraphCacheTest, ClippedQueriesAreNotEligible) {
   engine.set_subgraph_cache(&cache);
   // Snapshots must describe the full best-first expansion for their key;
   // clipped searches (visited caps, shard halo limits) may neither
-  // deposit nor consume.
+  // deposit nor consume. Each runs twice, so a repeat miss would have been
+  // admitted had it been eligible.
   FlosOptions clipped;
   clipped.max_visited = 16;
-  const FlosResult capped = ValueOrDie(engine.TopK(5, 8, clipped));
-  EXPECT_FALSE(capped.stats.subgraph_hit);
+  for (int run = 0; run < 2; ++run) {
+    const FlosResult capped = ValueOrDie(engine.TopK(5, 8, clipped));
+    EXPECT_FALSE(capped.stats.subgraph_hit);
+    EXPECT_FALSE(capped.stats.subgraph_deposited);
+  }
   EXPECT_EQ(cache.size(), 0u);
   FlosOptions limited;
   limited.expandable_limit = 64;
-  (void)ValueOrDie(engine.TopK(5, 8, limited));
+  for (int run = 0; run < 2; ++run) {
+    (void)ValueOrDie(engine.TopK(5, 8, limited));
+  }
   EXPECT_EQ(cache.size(), 0u);
 }
 

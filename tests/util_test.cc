@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "tests/test_util.h"
 #include "util/flags.h"
@@ -237,7 +238,11 @@ TEST(FlagParserTest, RangedIntAcceptsTheFullRangeAtItsEnds) {
 
 /// Writes `content` to a temp file and opens a LineReader on it.
 Result<LineReader> OpenText(const std::string& content) {
-  const std::string path = ::testing::TempDir() + "/line_reader.txt";
+  // Named after the running test: ctest runs tests in parallel processes.
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      "_line_reader.txt";
   std::FILE* f = std::fopen(path.c_str(), "w");
   std::fwrite(content.data(), 1, content.size(), f);
   std::fclose(f);
@@ -384,6 +389,24 @@ TEST(LruCacheTest, UnitChargeCountsEntries) {
   ASSERT_NE(cache.Get(1), nullptr);
   EXPECT_EQ(*cache.Get(1), "a");
   EXPECT_EQ(*cache.Get(4), "d");
+}
+
+TEST(LruCacheTest, PutHandsBackWhatItDisplaces) {
+  // A caller under a lock collects the replaced and evicted values to
+  // destroy them after unlocking; nothing displaced is lost or kept.
+  LruCache<int, std::string> cache(4);
+  std::vector<std::string> displaced;
+  cache.Put(1, "a", 2, &displaced);
+  cache.Put(2, "b", 2, &displaced);
+  EXPECT_TRUE(displaced.empty());
+  cache.Put(1, "a2", 1, &displaced);  // replaces "a"
+  EXPECT_EQ(displaced, std::vector<std::string>({"a"}));
+  cache.Put(3, "c", 2, &displaced);  // evicts 2, the least recent
+  EXPECT_EQ(displaced, std::vector<std::string>({"a", "b"}));
+  EXPECT_EQ(cache.charge(), 3u);
+  cache.Put(4, "d", 5, &displaced);  // never fits: handed straight back
+  EXPECT_EQ(displaced, std::vector<std::string>({"a", "b", "d"}));
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(LruCacheTest, ZeroCapacityCachesNothing) {
