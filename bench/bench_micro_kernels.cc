@@ -1,15 +1,14 @@
 // Google-benchmark microbenchmarks for the kernels the figure-level
 // results are built from: CSR neighbor scans, one global-iteration sweep,
-// the fused Gauss–Seidel bound sweep over the flat SoA local CSR (plain,
-// audited, and through the engine's FixedPointSweeper), a FLoS expansion +
-// bound update step, full queries, and disk reads.
+// the engine's fused Gauss–Seidel bound sweep over the pair-layout bounds
+// (plain and audited), a FLoS expansion + bound update step, full
+// queries, and disk reads.
 //
-// After the google-benchmark run, the binary self-times the bound sweeps
-// (serial and block-parallel) and full-query throughput at k=20 on
-// the RAND and R-MAT presets and writes `BENCH_kernels.json`
-// (ns/row-sweep, iterations-to-converge, QPS) so future changes have a
-// perf trajectory to compare against. Pass --no-kernel-json to skip the
-// JSON pass.
+// After the google-benchmark run, the binary self-times the bound sweep
+// and full-query throughput at k=20 on the RAND and R-MAT presets and
+// writes `BENCH_kernels.json` (ns/sweep, iterations-to-converge, QPS) so
+// future changes have a perf trajectory to compare against. Pass
+// --no-kernel-json to skip the JSON pass.
 
 #include <benchmark/benchmark.h>
 
@@ -71,29 +70,10 @@ const Graph& RandGraph() {
   return *kGraph;
 }
 
-// The parallel-sweep acceptance target: a visited set big enough that
-// block-parallel sweeps pay (>= 10k rows) carved out of a 1M-node graph,
-// matching the service bench's RAND preset.
-const Graph& BigGraph() {
-  static const Graph* const kGraph = [] {
-    GeneratorOptions options;
-    options.num_nodes = 1 << 20;
-    options.num_edges = 5 * (1 << 20);
-    options.seed = 13;
-    auto result = GenerateErdosRenyi(options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "graph generation failed\n");
-      std::abort();
-    }
-    return new Graph(std::move(result).value());
-  }();
-  return *kGraph;
-}
-
 // ---------------------------------------------------------------------------
 // Bound-sweep kernel fixture: a frozen visited subgraph S (the flat SoA
 // local CSR, live in the LocalGraph) with the PHP-form boundary
-// coefficients, so every sweep variant runs over identical data.
+// coefficients, so the plain and audited sweeps run over identical data.
 struct SweepFixture {
   SweepFixture(const Graph& g, uint32_t target_nodes, uint64_t seed) {
     accessor = std::make_unique<InMemoryAccessor>(&g);
@@ -113,9 +93,6 @@ struct SweepFixture {
       }
     }
     const uint32_t n = local->Size();
-    lower.assign(n, 0.0);
-    upper.assign(n, 1.0);
-    lower[0] = 1.0;
     self_coeff.assign(n, 0.0);
     mesh_dummy_coeff.assign(n, 0.0);
     plain_dummy_coeff.assign(n, 0.0);
@@ -135,47 +112,45 @@ struct SweepFixture {
   }
 
   void ResetBounds() {
-    std::fill(lower.begin(), lower.end(), 0.0);
-    std::fill(upper.begin(), upper.end(), 1.0);
-    lower[0] = 1.0;
+    bounds.assign(2 * static_cast<size_t>(local->Size()), 0.0);
+    for (size_t i = 1; i < bounds.size(); i += 2) bounds[i] = 1.0;
+    bounds[0] = 1.0;  // query row pinned at (1, 1)
   }
 
-  // One fused bound update: a single scan of the flat SoA CSR computes
-  // both dot products and updates both bounds in place (Gauss–Seidel).
-  double FusedGsSweep() {
-    double delta = 0;
-    double* const lo = lower.data();
-    double* const hi = upper.data();
-    FusedRowSweep(*local, lo, hi, [&](LocalId i, double s_lo, double s_hi) {
-      if (i == 0) return;
-      const double vl = std::max(kAlpha * s_lo + self_coeff[i] * lo[i], lo[i]);
-      double vu = kAlpha * s_hi + plain_dummy_coeff[i] * 1.0;
-      vu = std::min(vu, kAlpha * s_hi + self_coeff[i] * hi[i] +
-                            mesh_dummy_coeff[i] * 1.0);
-      vu = std::min(vu, hi[i]);
-      delta = std::max(delta, std::max(vl - lo[i], hi[i] - vu));
-      lo[i] = vl;
-      hi[i] = vu;
-    });
-    return delta;
+  // One sweep of the engine's kernel (FusedSweep, core/sweep_kernel.h)
+  // over the pair-interleaved bounds — bounds[2i] = lower_i,
+  // bounds[2i+1] = upper_i.
+  double Sweep() {
+    FixedPointSweepArgs args;
+    args.local = local.get();
+    args.bounds = bounds.data();
+    args.self_coeff = self_coeff.data();
+    args.mesh_dummy_coeff = mesh_dummy_coeff.data();
+    args.plain_dummy_coeff = plain_dummy_coeff.data();
+    args.hidden_coeff = hidden_coeff.data();
+    args.alpha = kAlpha;
+    args.dummy_tight = 1.0;
+    args.dummy_mesh = 1.0;
+    args.self_loop = true;
+    return FusedSweep(args);
   }
 
-  // The fused kernel with the audit-tier checks forced on (plain
-  // FLOS_CHECK where the production code has compiled-out FLOS_AUDIT):
-  // the entry/exit sandwich scans, cross-sweep monotonicity against a
-  // snapshot, and the per-entry CSR validity checks, mirroring what
-  // bound_engine.cc + sweep_kernel.h run under -DFLOS_ENABLE_AUDIT=ON.
-  // Prices the audit tier on this kernel; the plain Release kernel above
-  // must not regress, since there the same sites compile to nothing.
-  double AuditedFusedGsSweep() {
-    const uint32_t n = static_cast<uint32_t>(lower.size());
-    double* const lo = lower.data();
-    double* const hi = upper.data();
-    for (LocalId i = 0; i < n; ++i) {
-      FLOS_CHECK_LE(lo[i], hi[i] + 1e-12, "sandwich violated on entry");
+  // The same sweep over the same pair layout with the audit-tier checks
+  // forced on (plain FLOS_CHECK where the production code has compiled-out
+  // FLOS_AUDIT): the entry/exit sandwich scans, cross-sweep monotonicity
+  // against a copy of the bounds, and the per-entry CSR validity checks,
+  // mirroring what unified_bound_engine.cc + sweep_kernel.h run under
+  // -DFLOS_ENABLE_AUDIT=ON. Prices the audit tier on this kernel; the
+  // plain Release kernel must not regress, since there the same sites
+  // compile to nothing.
+  double AuditedSweep() {
+    const uint32_t n = local->Size();
+    double* const b = bounds.data();
+    for (size_t i = 0; i < n; ++i) {
+      FLOS_CHECK_LE(b[2 * i], b[2 * i + 1] + 1e-12,
+                    "sandwich violated on entry");
     }
-    audit_prev_lo = lower;
-    audit_prev_hi = upper;
+    audit_prev = bounds;
     double delta = 0;
     for (LocalId i = 0; i < n; ++i) {
       if (i + 1 < n) local->PrefetchRow(i + 1);
@@ -187,75 +162,43 @@ struct SweepFixture {
         const LocalId j = row.idx[e];
         FLOS_CHECK(j < n, "local CSR column index out of range");
         FLOS_CHECK(p >= 0.0, "negative transition probability in local CSR");
-        s_lo += p * lo[j];
-        s_hi += p * hi[j];
+        const double* const pj = b + 2 * static_cast<size_t>(j);
+        s_lo += p * pj[0];
+        s_hi += p * pj[1];
       }
       if (i == 0) continue;
-      const double vl = std::max(kAlpha * s_lo + self_coeff[i] * lo[i], lo[i]);
+      double* const pi = b + 2 * static_cast<size_t>(i);
+      const double lo = pi[0];
+      const double hi = pi[1];
+      const double vl = std::max(kAlpha * s_lo + self_coeff[i] * lo, lo);
       double vu = kAlpha * s_hi + plain_dummy_coeff[i] * 1.0;
-      vu = std::min(vu, kAlpha * s_hi + self_coeff[i] * hi[i] +
+      vu = std::min(vu, kAlpha * s_hi + self_coeff[i] * hi +
                             mesh_dummy_coeff[i] * 1.0);
-      vu = std::min(vu, hi[i]);
-      delta = std::max(delta, std::max(vl - lo[i], hi[i] - vu));
-      lo[i] = vl;
-      hi[i] = vu;
+      vu = std::min(vu, hi);
+      delta = std::max(delta, std::max(vl - lo, hi - vu));
+      pi[0] = vl;
+      pi[1] = vu;
     }
-    for (LocalId i = 0; i < n; ++i) {
-      FLOS_CHECK_GE(lo[i], audit_prev_lo[i], "lower bound loosened");
-      FLOS_CHECK_LE(hi[i], audit_prev_hi[i], "upper bound loosened");
-      FLOS_CHECK_LE(lo[i], hi[i] + 1e-12, "sandwich violated after sweep");
+    for (size_t i = 0; i < n; ++i) {
+      FLOS_CHECK_GE(b[2 * i], audit_prev[2 * i], "lower bound loosened");
+      FLOS_CHECK_LE(b[2 * i + 1], audit_prev[2 * i + 1],
+                    "upper bound loosened");
+      FLOS_CHECK_LE(b[2 * i], b[2 * i + 1] + 1e-12,
+                    "sandwich violated after sweep");
     }
     return delta;
   }
 
-  // One sweep through the FixedPointSweeper (core/sweep_kernel.h) over
-  // the pair-interleaved bound layout the unified engine uses —
-  // bounds[2i] = lower_i, bounds[2i+1] = upper_i. Same system, same
-  // coefficients as the SoA sweeps above. With a pool the sweep runs the
-  // block-parallel path over `chunks` row blocks (snapshot half at +2n,
-  // per the FixedPointSweepArgs layout contract).
-  double PairSweep(FixedPointSweeper* sweeper, ThreadPool* pool = nullptr,
-                   uint32_t chunks = 1) {
-    FixedPointSweepArgs args;
-    args.local = local.get();
-    args.bounds = pair_bounds.data();
-    args.self_coeff = self_coeff.data();
-    args.mesh_dummy_coeff = mesh_dummy_coeff.data();
-    args.plain_dummy_coeff = plain_dummy_coeff.data();
-    args.hidden_coeff = hidden_coeff.data();
-    args.alpha = kAlpha;
-    args.dummy_tight = 1.0;
-    args.dummy_mesh = 1.0;
-    args.self_loop = true;
-    if (pool != nullptr) {
-      args.pool = pool;
-      args.chunks = chunks;
-      args.snapshot = pair_bounds.data() + 2 * lower.size();
-    }
-    return sweeper->FusedSweep(args);
-  }
-
-  void ResetPairBounds() {
-    // Sized for the parallel layout contract (snapshot half at +2n) so the
-    // same buffer serves both paths; serial sweeps only touch [0, 2n).
-    pair_bounds.assign(4 * lower.size(), 0.0);
-    for (size_t i = 0; i < lower.size(); ++i) pair_bounds[2 * i + 1] = 1.0;
-    pair_bounds[0] = 1.0;  // query row pinned at (1, 1)
-  }
-
   static constexpr double kAlpha = 0.5;
 
-  std::vector<double> pair_bounds;
   std::unique_ptr<InMemoryAccessor> accessor;
   std::unique_ptr<LocalGraph> local;
-  std::vector<double> lower;
-  std::vector<double> upper;
+  std::vector<double> bounds;
   std::vector<double> self_coeff;
   std::vector<double> mesh_dummy_coeff;
   std::vector<double> plain_dummy_coeff;
   std::vector<double> hidden_coeff;
-  std::vector<double> audit_prev_lo;
-  std::vector<double> audit_prev_hi;
+  std::vector<double> audit_prev;
   uint64_t row_entries = 0;
 };
 
@@ -300,44 +243,31 @@ void BM_GlobalIterationSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalIterationSweep);
 
-void BM_BoundSweepFlatSoAFusedGS(benchmark::State& state) {
-  // The current kernel: one scan of the flat SoA local CSR per iteration
+void BM_BoundSweepFusedGS(benchmark::State& state) {
+  // The engine's kernel: one scan of the flat SoA local CSR per iteration
   // computes both bounds and updates them in place (Gauss–Seidel).
   SweepFixture& f = SharedFixture();
   f.ResetBounds();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.FusedGsSweep());
+    benchmark::DoNotOptimize(f.Sweep());
   }
   state.SetItemsProcessed(state.iterations() * f.row_entries);
-  state.counters["visited"] = static_cast<double>(f.lower.size());
+  state.counters["visited"] = static_cast<double>(f.local->Size());
 }
-BENCHMARK(BM_BoundSweepFlatSoAFusedGS);
+BENCHMARK(BM_BoundSweepFusedGS);
 
 void BM_BoundSweepFusedGSAudited(benchmark::State& state) {
-  // The same fused kernel with the audit-tier invariant checks forced on:
-  // what every sweep costs under the `audit` preset.
+  // The same kernel with the audit-tier invariant checks forced on: what
+  // every sweep costs under the `audit` preset.
   SweepFixture& f = SharedFixture();
   f.ResetBounds();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.AuditedFusedGsSweep());
+    benchmark::DoNotOptimize(f.AuditedSweep());
   }
   state.SetItemsProcessed(state.iterations() * f.row_entries);
-  state.counters["visited"] = static_cast<double>(f.lower.size());
+  state.counters["visited"] = static_cast<double>(f.local->Size());
 }
 BENCHMARK(BM_BoundSweepFusedGSAudited);
-
-void BM_BoundSweepPairSweeper(benchmark::State& state) {
-  // The engine's FixedPointSweeper over the pair-interleaved layout.
-  SweepFixture& f = SharedFixture();
-  f.ResetPairBounds();
-  FixedPointSweeper sweeper;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.PairSweep(&sweeper));
-  }
-  state.SetItemsProcessed(state.iterations() * f.row_entries);
-  state.counters["visited"] = static_cast<double>(f.lower.size());
-}
-BENCHMARK(BM_BoundSweepPairSweeper);
 
 void BM_FlosExpansionStep(benchmark::State& state) {
   // One LocalExpansion + bound update, amortized over a fresh query each
@@ -425,83 +355,23 @@ BENCHMARK(BM_DiskNeighborFetch);
 // BENCH_kernels.json: a machine-readable perf baseline for the bound-sweep
 // kernel and end-to-end queries, emitted after the google-benchmark run.
 
-enum class SweepKind { kFusedGs, kFusedGsAudited };
-
-double TimeSweeps(SweepFixture* f, SweepKind kind, int sweeps) {
+double TimeSweeps(SweepFixture* f, bool audited, int sweeps) {
   f->ResetBounds();
   WallTimer timer;
   double sink = 0;
   for (int s = 0; s < sweeps; ++s) {
-    sink += kind == SweepKind::kFusedGs ? f->FusedGsSweep()
-                                        : f->AuditedFusedGsSweep();
+    sink += audited ? f->AuditedSweep() : f->Sweep();
   }
   const double ns = timer.ElapsedSeconds() * 1e9 / sweeps;
   benchmark::DoNotOptimize(sink);
   return ns;
-}
-
-double TimePairSweeps(SweepFixture* f, FixedPointSweeper* sweeper,
-                      int sweeps) {
-  f->ResetPairBounds();
-  WallTimer timer;
-  double sink = 0;
-  for (int s = 0; s < sweeps; ++s) sink += f->PairSweep(sweeper);
-  const double ns = timer.ElapsedSeconds() * 1e9 / sweeps;
-  benchmark::DoNotOptimize(sink);
-  return ns;
-}
-
-double TimeParallelPairSweeps(SweepFixture* f, FixedPointSweeper* sweeper,
-                              ThreadPool* pool, uint32_t chunks, int sweeps) {
-  f->ResetPairBounds();
-  WallTimer timer;
-  double sink = 0;
-  const size_t live = 2 * f->lower.size();
-  for (int s = 0; s < sweeps; ++s) {
-    // The engine refreshes the snapshot half before every parallel sweep;
-    // include that copy so the reported speedup is end-to-end honest.
-    std::copy_n(f->pair_bounds.data(), live, f->pair_bounds.data() + live);
-    sink += f->PairSweep(sweeper, pool, chunks);
-  }
-  const double ns = timer.ElapsedSeconds() * 1e9 / sweeps;
-  benchmark::DoNotOptimize(sink);
-  return ns;
-}
-
-// Serial vs block-parallel sweeps at `threads` total sweep threads (pool
-// workers + the caller) on a >= 10k-row visited set over the 1M-node RAND
-// graph — the configuration the acceptance bar (>= 2x at 4 threads) is
-// stated for.
-struct ParallelPoint {
-  size_t visited = 0;
-  uint64_t row_entries = 0;
-  int threads = 0;
-  double scalar_serial_ns = 0;
-  double scalar_parallel_ns = 0;
-};
-
-ParallelPoint TimeParallelSweeps(int threads, int sweeps) {
-  SweepFixture f(BigGraph(), 16000, 9);
-  ThreadPool pool(threads - 1);
-  const auto chunks = static_cast<uint32_t>(threads);
-  ParallelPoint p;
-  p.visited = f.lower.size();
-  p.row_entries = f.row_entries;
-  p.threads = threads;
-  FixedPointSweeper sweeper;
-  TimePairSweeps(&f, &sweeper, sweeps / 8 + 1);
-  p.scalar_serial_ns = TimePairSweeps(&f, &sweeper, sweeps);
-  TimeParallelPairSweeps(&f, &sweeper, &pool, chunks, sweeps / 8 + 1);
-  p.scalar_parallel_ns =
-      TimeParallelPairSweeps(&f, &sweeper, &pool, chunks, sweeps);
-  return p;
 }
 
 uint32_t SweepsToConverge(SweepFixture* f, double tolerance) {
   f->ResetBounds();
   uint32_t sweeps = 0;
   while (sweeps < 10000) {
-    const double delta = f->FusedGsSweep();
+    const double delta = f->Sweep();
     ++sweeps;
     if (delta < tolerance) break;
   }
@@ -546,17 +416,11 @@ QueryPoint TimeQueries(const Graph& g, const std::string& name, int k,
 void EmitKernelBaseline(const char* path) {
   SweepFixture& f = SharedFixture();
   // Warm the caches, then time each kernel over enough sweeps to settle.
-  TimeSweeps(&f, SweepKind::kFusedGs, 50);
-  const double fused_ns = TimeSweeps(&f, SweepKind::kFusedGs, 400);
-  const double audited_ns = TimeSweeps(&f, SweepKind::kFusedGsAudited, 400);
-  // The engine's FixedPointSweeper over the pair-interleaved layout, on
-  // the same fixture.
-  FixedPointSweeper sweeper;
-  TimePairSweeps(&f, &sweeper, 50);
-  const double scalar_pair_ns = TimePairSweeps(&f, &sweeper, 400);
+  TimeSweeps(&f, /*audited=*/false, 50);
+  const double sweep_ns = TimeSweeps(&f, /*audited=*/false, 400);
+  const double audited_ns = TimeSweeps(&f, /*audited=*/true, 400);
   const double tol = 1e-8;
   const uint32_t gs_iters = SweepsToConverge(&f, tol);
-  const ParallelPoint par = TimeParallelSweeps(/*threads=*/4, /*sweeps=*/200);
   const QueryPoint rand_point = TimeQueries(RandGraph(), "RAND", 20, 200);
   const QueryPoint rmat_point = TimeQueries(TestGraph(), "RMAT", 20, 200);
 
@@ -566,42 +430,17 @@ void EmitKernelBaseline(const char* path) {
     return;
   }
   std::fprintf(out, "{\n");
+  std::fprintf(out, "  \"host_cpus\": %d,\n",
+               ThreadPool::DefaultNumThreads());
   std::fprintf(out, "  \"bound_sweep\": {\n");
-  std::fprintf(out, "    \"visited_nodes\": %zu,\n", f.lower.size());
+  std::fprintf(out, "    \"visited_nodes\": %u,\n", f.local->Size());
   std::fprintf(out, "    \"row_entries\": %llu,\n",
                static_cast<unsigned long long>(f.row_entries));
-  std::fprintf(out, "    \"flat_soa_fused_gs_ns_per_sweep\": %.1f,\n",
-               fused_ns);
+  std::fprintf(out, "    \"fused_gs_ns_per_sweep\": %.1f,\n", sweep_ns);
   std::fprintf(out, "    \"fused_gs_audited_ns_per_sweep\": %.1f,\n",
                audited_ns);
   std::fprintf(out, "    \"audit_overhead_ratio\": %.3f\n",
-               audited_ns / fused_ns);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sweep_backend\": {\n");
-  std::fprintf(out, "    \"scalar_pair_ns_per_sweep\": %.1f\n",
-               scalar_pair_ns);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"parallel_sweep\": {\n");
-  std::fprintf(out, "    \"graph\": \"RAND n=%u\",\n", 1u << 20);
-  std::fprintf(out, "    \"host_cpus\": %d,\n", ThreadPool::DefaultNumThreads());
-  if (ThreadPool::DefaultNumThreads() < par.threads) {
-    std::fprintf(out,
-                 "    \"note\": \"host has fewer cores than sweep threads; "
-                 "the speedup fields price thread oversubscription on this "
-                 "box, not the block-sweep design — CI's perf-smoke step "
-                 "guards the >= 1x floor on multi-core runners\",\n");
-  }
-  std::fprintf(out, "    \"visited_nodes\": %zu,\n", par.visited);
-  std::fprintf(out, "    \"row_entries\": %llu,\n",
-               static_cast<unsigned long long>(par.row_entries));
-  std::fprintf(out, "    \"threads\": %d,\n", par.threads);
-  std::fprintf(out, "    \"scalar_serial_ns_per_sweep\": %.1f,\n",
-               par.scalar_serial_ns);
-  std::fprintf(out, "    \"scalar_parallel_ns_per_sweep\": %.1f,\n",
-               par.scalar_parallel_ns);
-  std::fprintf(out, "    \"scalar_parallel_speedup\": %.3f,\n",
-               par.scalar_serial_ns / par.scalar_parallel_ns);
-  std::fprintf(out, "    \"snapshot_copy_included\": true\n");
+               audited_ns / sweep_ns);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"iterations_to_converge\": {\n");
   std::fprintf(out, "    \"tolerance\": %g,\n", tol);
@@ -620,41 +459,9 @@ void EmitKernelBaseline(const char* path) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("kernel baseline written to %s (audit overhead %.2fx, "
-              "parallel sweep %.2fx @%d threads, %u sweeps to converge, "
-              "RAND %.0f qps, RMAT %.0f qps)\n",
-              path, audited_ns / fused_ns,
-              par.scalar_serial_ns / par.scalar_parallel_ns, par.threads,
-              gs_iters, rand_point.qps, rmat_point.qps);
-}
-
-// --perf-smoke: the CI guard that block-parallel sweeps never regress
-// below serial. Short run, lenient bar (>= 1.0x).
-int RunPerfSmoke() {
-  // A single-core host cannot run two sweep threads at once: the measured
-  // "parallel" time is serial work plus forced context switches, which
-  // says nothing about the block-sweep design. Skip rather than fail —
-  // the CI runners this guard targets are multi-core.
-  if (ThreadPool::DefaultNumThreads() < 2) {
-    std::printf("perf-smoke SKIPPED: single-core host (%d cpu)\n",
-                ThreadPool::DefaultNumThreads());
-    return 0;
-  }
-  const ParallelPoint p = TimeParallelSweeps(/*threads=*/4, /*sweeps=*/60);
-  const double scalar_speedup = p.scalar_serial_ns / p.scalar_parallel_ns;
-  std::printf("perf-smoke: %zu rows / %llu entries @%d threads\n",
-              p.visited, static_cast<unsigned long long>(p.row_entries),
-              p.threads);
-  std::printf("  scalar: serial %.0f ns  parallel %.0f ns  speedup %.2fx\n",
-              p.scalar_serial_ns, p.scalar_parallel_ns, scalar_speedup);
-  if (scalar_speedup < 1.0) {
-    std::fprintf(stderr,
-                 "perf-smoke FAILED: parallel scalar sweep slower than "
-                 "serial (%.2fx)\n",
-                 scalar_speedup);
-    return 1;
-  }
-  std::printf("perf-smoke OK\n");
-  return 0;
+              "%u sweeps to converge, RAND %.0f qps, RMAT %.0f qps)\n",
+              path, audited_ns / sweep_ns, gs_iters, rand_point.qps,
+              rmat_point.qps);
 }
 
 }  // namespace
@@ -662,11 +469,6 @@ int RunPerfSmoke() {
 
 int main(int argc, char** argv) {
   bool emit_json = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf-smoke") == 0) {
-      return flos::RunPerfSmoke();
-    }
-  }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--no-kernel-json") == 0) {
       emit_json = false;

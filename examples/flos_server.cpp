@@ -56,7 +56,6 @@ int Run(int argc, char** argv) {
   int64_t max_queue = 256;
   int64_t query_cache = 4096;
   int64_t subgraph_cache = 64;
-  int64_t sweep_threads = 1;
   int64_t synthetic_nodes = 100000;
   int64_t seed = 1;
   std::string shard_map_path;
@@ -80,8 +79,6 @@ int Run(int argc, char** argv) {
                "certified-result cache entries (0 = disable)");
   flags.AddInt("subgraph-cache", &subgraph_cache,
                "warm expanded-subgraph cache entries (0 = disable)");
-  flags.AddInt("sweep-threads", &sweep_threads, 1, kMaxThreadsFlag,
-               "threads per query for parallel bound sweeps (1 = serial)");
   flags.AddInt("synthetic-nodes", &synthetic_nodes,
                "R-MAT size when --graph is not given");
   flags.AddInt("seed", &seed, "generator seed");
@@ -200,7 +197,6 @@ int Run(int argc, char** argv) {
       query_cache > 0 ? static_cast<size_t>(query_cache) : 0;
   options.subgraph_cache_capacity =
       subgraph_cache > 0 ? static_cast<size_t>(subgraph_cache) : 0;
-  options.sweep_threads = static_cast<int>(sweep_threads);
   if (shard_mode) options.shard_meta = &shard_meta;
   if (have_labels) options.labels = &labels;
   flos::ServiceServer server(&graph, options);

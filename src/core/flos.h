@@ -43,10 +43,6 @@ struct FlosOptions {
   /// Inner-iteration threshold tau (Algorithm 7): a bound update stops on
   /// the first sweep that moves no bound by tau or more.
   double tolerance = 1e-5;
-  /// Tolerance of the final solve when the component is exhausted.
-  double final_tolerance = 1e-12;
-  /// Cap on inner iterations per bound update.
-  uint32_t max_inner_iterations = 10000;
   /// Star-to-mesh self-loop tightening (Section 5.3). On by default; the
   /// ablation bench measures its effect.
   bool self_loop_tightening = true;
@@ -58,18 +54,10 @@ struct FlosOptions {
   /// the search may visit slightly more nodes in exchange for far fewer
   /// O(edges(S)) bound solves. The ablation bench quantifies the trade.
   uint32_t expansion_batch = 0;
-  /// Worker threads for intra-query parallel bound sweeps (block-Jacobi
-  /// across contiguous row chunks, Gauss–Seidel within — see
-  /// core/sweep_kernel.h). 1 = serial (default). With t > 1 the engine
-  /// owns a dedicated team of t - 1 workers and the calling thread runs
-  /// the remaining chunk, so t threads sweep in total. Deterministic and
-  /// certification-preserving; small visited sets stay serial (see
-  /// sweep_parallel_min_rows).
+  /// Retired: bound sweeps are always serial (DESIGN.md, "Parallel block
+  /// sweeps"). Kept only so existing callers that assign it keep
+  /// compiling; any value other than 1 fails with InvalidArgument.
   int sweep_threads = 1;
-  /// Visited-set size below which sweeps stay serial even when
-  /// sweep_threads > 1 (synchronization costs more than chunking saves on
-  /// small systems).
-  uint32_t sweep_parallel_min_rows = 4096;
   /// If > 0, stop after visiting this many nodes and return the current
   /// best-effort ranking (stats.exact will be false). 0 = run to proof.
   uint64_t max_visited = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "core/measure_traits.h"
 #include "util/check.h"
@@ -9,6 +10,11 @@
 namespace flos {
 
 namespace {
+
+// Tolerance of the final lower-system solve once the component is
+// exhausted: tight enough that collapsing upper = lower is exact to
+// rounding.
+constexpr double kFinalTolerance = 1e-12;
 
 using FrontierEntry = std::pair<double, LocalId>;
 
@@ -93,6 +99,10 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
   if (queries.empty()) {
     return Status::InvalidArgument("need at least one query node");
   }
+  if (options.sweep_threads != 1) {
+    return Status::InvalidArgument(
+        "sweep_threads is retired: bound sweeps are serial, so it must be 1");
+  }
   if (queries.size() > 1 && (options.measure == Measure::kEi ||
                              options.measure == Measure::kRwr)) {
     return Status::InvalidArgument(
@@ -175,17 +185,6 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
   }
   const bool warm_hit = warm != nullptr;
 
-  // Per-engine sweep team for intra-query parallel sweeps: t threads total
-  // = t - 1 pool workers + the calling thread running its own chunk.
-  // Lazily (re)created only when the requested count changes, so
-  // steady-state serving keeps one warm team per session.
-  const int want_workers = std::max(0, options.sweep_threads - 1);
-  if (want_workers == 0) {
-    sweep_pool_.reset();
-  } else if (!sweep_pool_ || sweep_pool_->num_threads() != want_workers) {
-    sweep_pool_ = std::make_unique<ThreadPool>(want_workers);
-  }
-
   // Rewind the workspace for this query; an error return leaves it ready
   // to be rewound again, so failed calls don't poison the engine. On a
   // warm-subgraph hit the expansion state is restored from the snapshot
@@ -202,10 +201,7 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
     UnifiedBoundOptions ub;
     ub.traits = traits;
     ub.tolerance = options.tolerance;
-    ub.max_inner_iterations = options.max_inner_iterations;
     ub.self_loop_tightening = options.self_loop_tightening;
-    ub.sweep_pool = sweep_pool_.get();
-    ub.parallel_min_rows = options.sweep_parallel_min_rows;
     ub.deadline = options.deadline;
     bounds_.Reset(ub);
   }
@@ -431,8 +427,7 @@ Result<FlosResult> FlosEngine::TopKSet(const std::vector<NodeId>& queries,
       // honors the deadline; if it was cut short the bounds are still
       // certified but not yet exact, so the result stays uncertified.
       phase_lap(&stats.expand_ns);
-      stats.inner_iterations += bounds_.FinalizeExhausted(
-          options.final_tolerance);
+      stats.inner_iterations += bounds_.FinalizeExhausted(kFinalTolerance);
       phase_lap(&stats.solve_ns);
       if (bounds_.deadline_hit()) {
         expired = true;

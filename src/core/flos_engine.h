@@ -26,7 +26,6 @@
 #define FLOS_CORE_FLOS_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -38,7 +37,6 @@
 #include "graph/accessor.h"
 #include "graph/graph.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace flos {
 
@@ -102,10 +100,6 @@ class FlosEngine {
   UnifiedBoundEngine bounds_;
   QueryCache* query_cache_ = nullptr;
   SubgraphCache* subgraph_cache_ = nullptr;
-  /// Worker team for FlosOptions::sweep_threads > 1, owned by the engine
-  /// and dedicated to its sweeps (the backend uses ThreadPool::Wait as its
-  /// barrier). Lazily (re)created when the requested thread count changes.
-  std::unique_ptr<ThreadPool> sweep_pool_;
   size_t degree_cursor_ = 0;
 
   // Per-query scratch, reused across calls.

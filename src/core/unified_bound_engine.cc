@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace flos {
 
@@ -27,7 +26,6 @@ UnifiedBoundEngine::UnifiedBoundEngine(LocalGraph* local,
 
 void UnifiedBoundEngine::Reset(const UnifiedBoundOptions& options) {
   options_ = options;
-  sweeper_.InvalidateStructure();
   deadline_hit_ = false;
   nodes_ = 0;
   bounds_.clear();
@@ -44,12 +42,7 @@ void UnifiedBoundEngine::OnGrowth() {
   const uint32_t n = local_->Size();
   const size_t old_nodes = nodes_;
   nodes_ = n;
-  // With a sweep pool attached the vector carries a second half for the
-  // per-sweep parallel snapshot (FixedPointSweepArgs layout contract); its
-  // contents are rewritten before every parallel sweep, so it needs no
-  // initialization here.
-  const size_t slots = options_.sweep_pool != nullptr ? 4 : 2;
-  bounds_.resize(slots * static_cast<size_t>(n));
+  bounds_.resize(2 * static_cast<size_t>(n));
   if (options_.traits.family == BoundFamily::kFixedPoint) {
     // New nodes: lower = 0, upper = 1 are valid PHP-form bounds (all
     // proximities lie in [0, 1]; non-query nodes are in fact <= alpha).
@@ -78,9 +71,6 @@ void UnifiedBoundEngine::OnGrowth() {
       bounds_[2 * static_cast<size_t>(q) + 1] = 0.0;
     }
   }
-  // Growth changes row structure (edges into the new nodes are appended to
-  // existing rows), so the cached parallel row partition is stale.
-  sweeper_.InvalidateStructure();
 }
 
 void UnifiedBoundEngine::CaptureDummyFromBoundary() {
@@ -144,7 +134,7 @@ void UnifiedBoundEngine::AuditNoLooserThanJacobi(
   // Jacobi-iterate floor: one scalar clamped row update evaluated entirely
   // on `prev` (the bounds as they stood before the sweep). The slack
   // absorbs fp differences between this reference evaluation and the
-  // sweep's (in-place, chunked) one.
+  // sweep's in-place one.
   constexpr double kJacobiSlack = 1e-9;
   const double* const p = prev.data();
   FusedPairRowSweep(*local_, p, [&](LocalId i, double s_lo, double s_hi) {
@@ -289,19 +279,7 @@ FixedPointSweepArgs UnifiedBoundEngine::SweepArgs() {
 uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
   const bool has_deadline =
       options_.deadline != std::chrono::steady_clock::time_point::max();
-  FixedPointSweepArgs args = SweepArgs();
-  // Adaptive parallel selection: a pure function of the visited size, so
-  // the choice is stable for a fixed structure (it can only flip at
-  // growth, which also invalidates the row partition).
-  const bool parallel =
-      options_.sweep_pool != nullptr &&
-      nodes_ >= std::max<uint32_t>(options_.parallel_min_rows, 2);
-  if (parallel) {
-    args.pool = options_.sweep_pool;
-    args.chunks =
-        static_cast<uint32_t>(options_.sweep_pool->num_threads()) + 1;
-    args.snapshot = bounds_.data() + 2 * nodes_;
-  }
+  const FixedPointSweepArgs args = SweepArgs();
   uint32_t iters = 0;
   deadline_hit_ = false;
   // Audit tier: snapshot the incoming bounds so every sweep can be checked
@@ -318,13 +296,7 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
     // starts converge within a sweep or two) and then every fourth, which
     // keeps long cold solves nearly free of clock reads.
     const bool read_clock = has_deadline && (iters < 4 || (iters & 3) == 3);
-    // Parallel sweeps read cross-chunk columns from an immutable pre-sweep
-    // snapshot: refresh it (the one per-sweep copy this design pays).
-    if (parallel) {
-      std::copy_n(bounds_.data(), 2 * nodes_, bounds_.data() + 2 * nodes_);
-    }
-    const double delta = lower_only ? sweeper_.LowerSweep(args)
-                                    : sweeper_.FusedSweep(args);
+    const double delta = lower_only ? LowerSweep(args) : FusedSweep(args);
     ++iters;
     FLOS_AUDIT_SCOPE {
       // Certified bounds only ever tighten: the in-place updates clamp
@@ -339,9 +311,8 @@ uint32_t UnifiedBoundEngine::FusedSolve(double tolerance, bool lower_only) {
                         "upper bound loosened across a sweep");
         }
       }
-      // Every sweep — serial Gauss–Seidel or parallel block — must land
-      // at least as tight as one Jacobi step from the pre-sweep state (the
-      // monotone-mixture floor).
+      // Every Gauss–Seidel sweep must land at least as tight as one Jacobi
+      // step from the pre-sweep state (the monotone-mixture floor).
       AuditNoLooserThanJacobi(audit_prev, lower_only);
       AuditBoundSandwich("sandwich violated after a fused sweep");
       audit_prev = bounds_;
@@ -363,10 +334,8 @@ void UnifiedBoundEngine::HorizonDpUpdate() {
   const bool has_deadline =
       options_.deadline != std::chrono::steady_clock::time_point::max();
   deadline_hit_ = false;
-  work_lo_.assign(n, 0.0);
-  work_hi_.assign(n, 0.0);
-  next_lo_.assign(n, 0.0);
-  next_hi_.assign(n, 0.0);
+  dp_work_.assign(2 * static_cast<size_t>(n), 0.0);
+  dp_next_.assign(2 * static_cast<size_t>(n), 0.0);
 
   // Escaped-mass continuations. Upper: an escaped walker can take at most
   // the full remaining horizon. Lower: an escaped walker sits on an
@@ -382,8 +351,9 @@ void UnifiedBoundEngine::HorizonDpUpdate() {
   // fused scan of the local CSR computing both bound dot products, and the
   // out-of-S transition mass comes from the maintained row in-mass (no
   // per-update O(edges) rescans). Degree-0 nodes can never hit q; their
-  // value saturates at L. Bit-exact scalar evaluation is part of the DP's
-  // test contract, so this path does not use the FixedPointSweeper.
+  // value saturates at L. Bit-exact evaluation is part of the DP's test
+  // contract: each row sum adds the same products in the same order as
+  // the reference recursion.
   for (int t = 1; t <= length; ++t) {
     // Anytime hook: the horizon recursion is only a valid THT bound once
     // all L steps ran, so an expired deadline abandons the recompute and
@@ -395,40 +365,37 @@ void UnifiedBoundEngine::HorizonDpUpdate() {
     }
     const double horizon = t - 1;  // max THT value at horizon t-1 (<= L)
     const double escaped_lo = std::min(horizon, unvisited_hops);
-    FusedRowSweep(*local_, work_lo_.data(), work_hi_.data(),
-                  [&](LocalId i, double s_lo, double s_hi) {
-                    if (local_->IsQueryLocal(i)) {
-                      next_lo_[i] = 0;
-                      next_hi_[i] = 0;
-                      return;
-                    }
-                    if (local_->WeightedDegree(i) <= 0) {
-                      next_lo_[i] = length;
-                      next_hi_[i] = length;
-                      return;
-                    }
-                    const double out =
-                        std::max(0.0, 1.0 - local_->RowInMass(i));
-                    // Hidden (truncated-row) escape mass may land on a
-                    // VISITED fringe node arbitrarily close to q, so the
-                    // unvisited-hop continuation does not apply to it:
-                    // it contributes 0 to the lower. The upper's full-
-                    // horizon continuation covers it unchanged.
-                    const double wdi = local_->WeightedDegree(i);
-                    const double hid = std::min(
-                        out, wdi > 0 ? local_->HiddenMass(i) / wdi : 0.0);
-                    next_lo_[i] = 1.0 + s_lo + (out - hid) * escaped_lo;
-                    next_hi_[i] = 1.0 + s_hi + out * horizon;
-                  });
-    work_lo_.swap(next_lo_);
-    work_hi_.swap(next_hi_);
+    FusedPairRowSweep(
+        *local_, dp_work_.data(), [&](LocalId i, double s_lo, double s_hi) {
+          double* const pi = dp_next_.data() + 2 * static_cast<size_t>(i);
+          if (local_->IsQueryLocal(i)) {
+            pi[0] = 0;
+            pi[1] = 0;
+            return;
+          }
+          const double wdi = local_->WeightedDegree(i);
+          if (wdi <= 0) {
+            pi[0] = length;
+            pi[1] = length;
+            return;
+          }
+          const double out = std::max(0.0, 1.0 - local_->RowInMass(i));
+          // Hidden (truncated-row) escape mass may land on a VISITED fringe
+          // node arbitrarily close to q, so the unvisited-hop continuation
+          // does not apply to it: it contributes 0 to the lower. The
+          // upper's full-horizon continuation covers it unchanged.
+          const double hid = std::min(out, local_->HiddenMass(i) / wdi);
+          pi[0] = 1.0 + s_lo + (out - hid) * escaped_lo;
+          pi[1] = 1.0 + s_hi + out * horizon;
+        });
+    dp_work_.swap(dp_next_);
     FLOS_AUDIT_SCOPE {
       // Every DP step must preserve the sandwich: the escaped-mass
       // continuations satisfy escaped_lo <= horizon and the fused dot
       // products are computed over lo <= hi inputs with non-negative
-      // weights, so work_lo <= work_hi holds exactly, step by step.
-      for (LocalId i = 0; i < n; ++i) {
-        FLOS_CHECK_LE(work_lo_[i], work_hi_[i],
+      // weights, so lower <= upper holds exactly, step by step.
+      for (size_t i = 0; i < n; ++i) {
+        FLOS_CHECK_LE(dp_work_[2 * i], dp_work_[2 * i + 1],
                       "THT DP step broke the sandwich");
       }
     }
@@ -439,8 +406,8 @@ void UnifiedBoundEngine::HorizonDpUpdate() {
     double* const pi = bounds_.data() + 2 * static_cast<size_t>(i);
     const double prev_lo = pi[0];
     const double prev_hi = pi[1];
-    pi[0] = std::max(prev_lo, work_lo_[i]);
-    pi[1] = std::min(prev_hi, work_hi_[i]);
+    pi[0] = std::max(prev_lo, dp_work_[2 * static_cast<size_t>(i)]);
+    pi[1] = std::min(prev_hi, dp_work_[2 * static_cast<size_t>(i) + 1]);
     // The clamps make cross-update monotonicity exact. The clamped
     // interval intersects two independently-rounded certified intervals,
     // so the non-emptiness check allows rounding-scale slack (values are

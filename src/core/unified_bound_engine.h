@@ -18,9 +18,9 @@
 //  * Upper bound: transitions leaving S are redirected to a dummy node
 //    with constant value r_d >= every unvisited proximity (Theorem 5); the
 //    self-loop variant additionally splits the dummy mass per Lemma 4.
-//  * Inner solve: warm-started fused Gauss–Seidel sweeps — each sweep
-//    computes both bounds' dot products in ONE scan of the local CSR and
-//    updates them in place (FixedPointSweeper, core/sweep_kernel.h). The
+//  * Inner solve: warm-started fused Gauss–Seidel sweeps — each serial
+//    sweep computes both bounds' dot products in ONE scan of the local CSR
+//    and updates them in place (FusedSweep, core/sweep_kernel.h). The
 //    solve stops on the first sweep whose movement falls below tau.
 //
 // Validity under inexact, in-place, REORDERED solves: the true proximity
@@ -30,8 +30,8 @@
 // bounds — yields a certified bound again; newer values are tighter, so
 // the result is also elementwise at least as tight as the Jacobi iterate
 // after the same number of sweeps, REGARDLESS of the order rows are
-// visited in. That is what lets the parallel sweep update row chunks
-// against a pre-sweep snapshot without touching certification. Bounds are
+// visited in. That licenses the in-place Gauss–Seidel order, and would
+// equally license a worklist that picks rows by movement. Bounds are
 // additionally clamped elementwise against their previous values, keeping
 // them monotone across outer iterations (Section 5.2) even in floating
 // point.
@@ -41,13 +41,13 @@
 // min(remaining horizon, unvisited-hop lower bound) for the lower bound
 // and with the full remaining horizon for the upper. The recursion needs
 // the step-(t-1) values on the right-hand side, so the DP keeps a Jacobi
-// double buffer evaluated by the scalar fused scan (in-place or reordered
-// evaluation would mix horizons and is NOT valid here); the
-// FixedPointSweeper deliberately does not cover it.
+// double buffer of two pair-layout vectors, each step one FusedPairRowSweep
+// from one into the other (in-place or reordered evaluation would mix
+// horizons and is NOT valid here).
 //
 // Storage: bounds live interleaved — bounds_[2i] = lower_i,
-// bounds_[2i+1] = upper_i — so each random column access in a sweep
-// touches one cache line instead of two.
+// bounds_[2i+1] = upper_i, exactly 2 * |S| doubles — so each random column
+// access in a sweep touches one cache line instead of two.
 
 #ifndef FLOS_CORE_UNIFIED_BOUND_ENGINE_H_
 #define FLOS_CORE_UNIFIED_BOUND_ENGINE_H_
@@ -78,18 +78,6 @@ struct UnifiedBoundOptions {
   /// unvisited nodes) and the alpha^hop-distance cap. Rigorous; see
   /// CaptureDummyFromBoundary. Off reproduces Algorithm 5 line 7 verbatim.
   bool alpha_dummy_tightening = true;
-  /// Worker team for intra-sweep parallelism (block-Jacobi across
-  /// contiguous row chunks, Gauss–Seidel within; see FixedPointSweepArgs).
-  /// The pool must be DEDICATED to this engine while a solve runs — the
-  /// sweeper uses ThreadPool::Wait as its sweep barrier. nullptr = serial.
-  /// Not used by the horizon-DP family (its Jacobi double buffer is pinned
-  /// to bit-exact scalar evaluation).
-  ThreadPool* sweep_pool = nullptr;
-  /// Visited-set size below which solves stay serial even with a pool
-  /// attached (small systems lose more to submit/wait synchronization than
-  /// chunking saves). The decision is a pure function of the visited size,
-  /// so it can only flip at growth — never mid-structure.
-  uint32_t parallel_min_rows = 4096;
   /// Anytime hook: solves stop between sweeps once this instant passes
   /// (the clock is read after sweeps 1–4 and every fourth sweep after
   /// that, keeping the hot loop nearly free of clock reads). Every
@@ -232,8 +220,8 @@ class UnifiedBoundEngine {
 
   /// Audit tier: recomputes the clamped Jacobi iterate from `prev` with the
   /// scalar row operator and aborts if any live bound is looser than it —
-  /// the tightness floor every sweep (serial Gauss–Seidel or parallel
-  /// block) must clear by the monotone-mixture argument.
+  /// the tightness floor every Gauss–Seidel sweep must clear by the
+  /// monotone-mixture argument.
   void AuditNoLooserThanJacobi(const std::vector<double>& prev,
                                bool lower_only) const;
 
@@ -262,15 +250,9 @@ class UnifiedBoundEngine {
 
   LocalGraph* local_;
   UnifiedBoundOptions options_;
-  FixedPointSweeper sweeper_;
-  /// Number of live nodes (== local_->Size() after OnGrowth). bounds_ may
-  /// hold MORE than 2 * nodes_ doubles — with a sweep pool attached it is
-  /// sized 4n so [2n, 4n) can hold the per-sweep snapshot — so node counts
-  /// must come from here, never from bounds_.size().
+  /// Number of live nodes (== local_->Size() after OnGrowth).
   size_t nodes_ = 0;
-  /// Interleaved (lower, upper) per LocalId in [0, 2 * nodes_); the
-  /// parallel-sweep snapshot half in [2 * nodes_, 4 * nodes_) when a sweep
-  /// pool is attached (see FixedPointSweepArgs layout contract).
+  /// Interleaved (lower, upper) per LocalId: exactly 2 * nodes_ doubles.
   std::vector<double> bounds_;
   /// Coefficient of r_i itself (self-loop) in the mesh construction.
   std::vector<double> self_coeff_;
@@ -282,11 +264,10 @@ class UnifiedBoundEngine {
   /// dummy_mesh_ in BOTH constructions (see FixedPointSweepArgs). All-zero
   /// unless the accessor truncates adjacency (shard fringe rows).
   std::vector<double> hidden_coeff_;
-  /// Horizon-DP double buffers (work = step t-1, next = step t).
-  std::vector<double> work_lo_;
-  std::vector<double> work_hi_;
-  std::vector<double> next_lo_;
-  std::vector<double> next_hi_;
+  /// Horizon-DP Jacobi double buffer in the pair layout (work = step t-1,
+  /// next = step t).
+  std::vector<double> dp_work_;
+  std::vector<double> dp_next_;
   /// ComputeOutsideUppers' per-call accumulator over delta-S-bar: the
   /// per-call-reset index maps a frontier node to its slot in outside_acc_.
   struct OutsideAcc {

@@ -31,6 +31,10 @@ Status ServiceServer::Start() {
   if (frames_ != nullptr) {
     return Status::FailedPrecondition("ServiceServer::Start called twice");
   }
+  if (options_.sweep_threads != 1) {
+    return Status::InvalidArgument(
+        "sweep_threads is retired: bound sweeps are serial, so it must be 1");
+  }
   if (options_.query_cache_capacity > 0) {
     query_cache_ = std::make_unique<QueryCache>(options_.query_cache_capacity);
   }
@@ -159,7 +163,6 @@ QueryResponse ServiceServer::HandleQuery(
   opts.measure = decoded->measure;
   opts.c = decoded->c;
   opts.tht_length = static_cast<int>(decoded->tht_length);
-  opts.sweep_threads = options_.sweep_threads;
   if (decoded->deadline_us > 0) {
     opts.deadline =
         dequeue_time + std::chrono::microseconds(decoded->deadline_us);

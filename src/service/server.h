@@ -71,12 +71,9 @@ struct ServerOptions {
   /// visited-set snapshots, so capacities are much smaller than
   /// query_cache_capacity.
   size_t subgraph_cache_capacity = 64;
-  /// Threads per query for parallel bound sweeps
-  /// (FlosOptions::sweep_threads); 1 = serial. Each worker session owns
-  /// its own sweep team, so total sweep threads = num_workers *
-  /// sweep_threads; raise it when workers outnumber concurrent queries
-  /// (latency mode), not when the box is already saturated (throughput
-  /// mode).
+  /// Retired with FlosOptions::sweep_threads: bound sweeps are serial.
+  /// Kept only so existing callers that assign it keep compiling; Start()
+  /// fails with InvalidArgument for any value other than 1.
   int sweep_threads = 1;
   /// Non-null = shard mode: `graph` is the shard-local graph described by
   /// this metadata (must outlive the server). Query nodes are SHARD-LOCAL

@@ -130,6 +130,22 @@ TEST(EngineReuseTest, FailedCallDoesNotPoisonEngine) {
   ExpectBitIdentical(before, after);
 }
 
+TEST(EngineReuseTest, RetiredSweepThreadsIsRejected) {
+  // Bound sweeps are serial; the retired field fails closed instead of
+  // being silently ignored, and the rejection leaves the engine usable.
+  const Graph g = RandomConnectedGraph(200, 600, 53);
+  InMemoryAccessor accessor(&g);
+  FlosEngine engine(&accessor);
+  FlosOptions threaded = OptionsFor(Measure::kPhp);
+  threaded.sweep_threads = 4;
+  const Result<FlosResult> rejected = engine.TopK(7, 10, threaded);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  const FlosResult serial =
+      ValueOrDie(engine.TopK(7, 10, OptionsFor(Measure::kPhp)));
+  EXPECT_TRUE(serial.stats.exact);
+}
+
 TEST(EngineReuseTest, TruncatedRunDoesNotPoisonEngine) {
   // A best-effort (max_visited-truncated) query leaves the workspace mid
   // search; the next query must still start from a clean slate.

@@ -141,6 +141,27 @@ TEST_P(MultiSourceTest, ThtMatchesDpGroundTruth) {
   }
 }
 
+TEST_P(MultiSourceTest, DhtRanksLikeDensePhpGroundTruth) {
+  // DHT with decay c runs the PHP engine at alpha = 1 - c (Theorem 2), so
+  // with c = 0.5 its certified set top-k is the multi-source PHP top-k.
+  const uint64_t seed = GetParam();
+  const Graph g = RandomConnectedGraph(200, 600, seed + 17);
+  const std::vector<NodeId> queries = {3, 77, 140};
+  const std::vector<double> exact = MultiSourcePhp(g, queries, 0.5);
+  FlosOptions options;
+  options.measure = Measure::kDht;
+  options.c = 0.5;
+  const FlosResult result = ValueOrDie(FlosTopKSet(g, queries, 8, options));
+  EXPECT_TRUE(result.stats.exact);
+  ASSERT_EQ(result.topk.size(), 8u);
+  const auto truth = TopK(exact, queries, 8, Direction::kMaximize);
+  const double kth = exact[truth.back()];
+  for (const ScoredNode& s : result.topk) {
+    for (const NodeId q : queries) EXPECT_NE(s.node, q);
+    EXPECT_GE(exact[s.node], kth - 1e-7);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiSourceTest, ::testing::Values(1, 2, 3));
 
 TEST(MultiSourceTest, SingleElementSetEqualsSingleQuery) {

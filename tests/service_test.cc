@@ -456,6 +456,18 @@ TEST_F(ServiceTest, RemoteShutdownCanBeDisabled) {
   EXPECT_EQ(ack.status, StatusCode::kFailedPrecondition);
 }
 
+TEST(ServiceServerTest, RetiredSweepThreadsFailsStart) {
+  // Bound sweeps are serial; the retired field fails closed instead of
+  // being silently ignored.
+  const Graph graph = TestGraph(200, 3);
+  ServerOptions options;
+  options.sweep_threads = 2;
+  ServiceServer server(&graph, options);
+  const Status started = server.Start();
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+      << started.ToString();
+}
+
 TEST(SessionPoolTest, LeasesAreExclusiveAndRecycled) {
   const Graph graph = TestGraph(200, 3);
   EngineSessionPool pool(&graph, 2);
