@@ -20,7 +20,9 @@
 #ifndef FLOS_CORE_FLOS_H_
 #define FLOS_CORE_FLOS_H_
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -105,6 +107,18 @@ struct ScoredNode {
   double upper = 0;
 };
 
+/// Why a termination check (Algorithm 6) failed to certify the top-k: the
+/// kind of the competitor whose optimistic bound beat the k-th guaranteed
+/// one.
+enum class BlockerKind : uint8_t {
+  kTooFewCandidates,  ///< fewer than k (matching) interior candidates yet
+  kInterior,          ///< a visited interior candidate outside the top-k
+  kBoundary,          ///< an expandable boundary node
+  kFringe,            ///< a boundary node at or past expandable_limit
+  kUnvisited,         ///< RWR's degree-weighted bound on unvisited nodes
+};
+inline constexpr size_t kNumBlockerKinds = 5;
+
 /// Per-query search statistics.
 struct FlosStats {
   uint64_t visited_nodes = 0;   ///< |S| = neighbor-list fetches
@@ -138,6 +152,9 @@ struct FlosStats {
   uint64_t expand_ns = 0;
   uint64_t solve_ns = 0;
   uint64_t select_ns = 0;
+  /// Failed termination checks, indexed by the BlockerKind that failed
+  /// them. All zero when the first check certified (or none ran).
+  std::array<uint64_t, kNumBlockerKinds> blocked_checks = {};
 };
 
 /// Result of a FLoS query: top-k nodes, closest first.

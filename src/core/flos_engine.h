@@ -11,12 +11,9 @@
 //
 // Threading: an engine is bound to one GraphAccessor and is
 // thread-compatible, not thread-safe. Concurrent serving uses one engine
-// (with its own accessor) per thread over one shared immutable graph — see
-// the GraphAccessor thread-safety contract (graph/accessor.h) and
-// `EngineSessionPool` (service/session_pool.h), which implements exactly
-// that pattern.
-// The optional QueryCache is the one shared piece and is itself
-// thread-safe.
+// (with its own accessor) per thread over one shared immutable graph, as
+// `EngineSessionPool` (service/session_pool.h) does; the optional caches
+// are the shared pieces and are themselves thread-safe.
 //
 // Determinism: for a given accessor and options, a reused engine returns
 // bit-identical results and statistics to a freshly constructed one
@@ -80,19 +77,50 @@ class FlosEngine {
   GraphAccessor* accessor() const { return accessor_; }
 
  private:
-  /// A visited node with its certified rank-value interval.
+  struct Query;  ///< one call's options and loop state (defined in .cc)
+
+  /// A visited node with its certified rank interval, oriented so that
+  /// larger means closer: `sure` is the guaranteed end, `hope` the
+  /// optimistic one (THT, which minimizes, negates both).
   struct Candidate {
     LocalId local;
-    double rank_lower;
-    double rank_upper;
+    double sure;
+    double hope;
+    double mid() const { return 0.5 * (sure + hope); }
   };
 
-  /// Maximum weighted degree among nodes neither visited nor adjacent to
-  /// the visited set, via the accessor's descending degree order (Section
-  /// 5.6). Adjacency is the delta-S-bar set the bound engine enumerated in
-  /// the ComputeOutsideUppers call that must immediately precede this one.
-  /// The cursor only advances within a query (S and S + delta-S-bar only
-  /// grow) and rewinds to 0 between queries.
+  /// The verdict of one termination check (Algorithm 6). When the top-k is
+  /// not certified, the rival is the competitor that blocked it.
+  struct Certificate {
+    bool certified = false;
+    double threshold = 0;  ///< the k-th (worst) `sure` of the top-k
+    LocalId kth = kInvalidLocal;
+    LocalId rival = kInvalidLocal;  ///< kInvalidLocal for kUnvisited
+    BlockerKind kind = BlockerKind::kTooFewCandidates;
+    double rival_hope = 0;  ///< the rival's `hope` (its rank bound)
+    double gap = 0;         ///< threshold - rival_hope; >= 0 iff certified
+  };
+
+  /// How ExpandBatch ended.
+  enum class Step { kExpanded, kExhausted, kClipped, kExpired };
+
+  Status Validate(const std::vector<NodeId>& queries, int k,
+                  const FlosOptions& options) const;
+  Candidate Rank(const Query& q, LocalId i) const;
+  void RefreshMatches(const Query& q);
+  bool IsMatch(const Query& q, LocalId i) const;
+  Result<Step> ExpandBatch(Query* q, FlosStats* stats);
+  Status Rewind(const Query& q, const std::vector<NodeId>& queries,
+                const SubgraphSnapshot* warm);
+  Certificate Certify(const Query& q);
+  void Audit(const Query& q, const Certificate& cert) const;
+  double UnvisitedBound(const Query& q);
+  void Assemble(const Query& q, int k, bool certified, FlosResult* result);
+
+  /// Maximum weighted degree among nodes neither visited nor in the
+  /// delta-S-bar of the ComputeOutsideUppers call just before, via the
+  /// accessor's descending degree order (Section 5.6). The cursor only
+  /// advances within a query (S and delta-S-bar only grow).
   double MaxUnknownDegree();
 
   GraphAccessor* accessor_;

@@ -134,6 +134,13 @@ ServiceMetrics::ServiceMetrics() {
   registry.RegisterCounter("subgraph_hits", &subgraph_hits);
   registry.RegisterCounter("subgraph_misses", &subgraph_misses);
   registry.RegisterCounter("subgraph_deposits", &subgraph_deposits);
+  static constexpr const char* kBlockerNames[kNumBlockerKinds] = {
+      "too_few", "interior", "boundary", "fringe", "unvisited"};
+  for (size_t i = 0; i < kNumBlockerKinds; ++i) {
+    registry.RegisterCounter(
+        std::string("certificate_blocked_") + kBlockerNames[i],
+        &certificate_blocked[i]);
+  }
   registry.RegisterCounter("deadline_expiries", &deadline_expiries);
   registry.RegisterCounter("stats_requests", &stats_requests);
   registry.RegisterGauge("queue_depth", &queue_depth);

@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/flos.h"
+
 namespace flos {
 
 /// Monotone event counter.
@@ -129,6 +131,10 @@ struct ServiceMetrics {
   Counter subgraph_hits;    ///< searches resumed from a warm subgraph
   Counter subgraph_misses;  ///< searches expanded from scratch (cache on)
   Counter subgraph_deposits;  ///< searches that stored a warm subgraph
+  /// Failed termination checks of the searches that ran, indexed by the
+  /// BlockerKind that failed them (FlosStats::blocked_checks); exported as
+  /// certificate_blocked_{too_few,interior,boundary,fringe,unvisited}.
+  std::array<Counter, kNumBlockerKinds> certificate_blocked;
   Counter deadline_expiries;
   Counter stats_requests;
   Gauge queue_depth;

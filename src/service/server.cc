@@ -221,6 +221,12 @@ QueryResponse ServiceServer::HandleQuery(
         metrics_.cache_misses.Increment();
       }
     }
+    if (!resp.cache_hit) {
+      for (size_t i = 0; i < kNumBlockerKinds; ++i) {
+        const uint64_t blocked = result->stats.blocked_checks[i];
+        if (blocked > 0) metrics_.certificate_blocked[i].Increment(blocked);
+      }
+    }
     if (subgraph_cache_ != nullptr && !resp.cache_hit) {
       if (resp.subgraph_hit) {
         metrics_.subgraph_hits.Increment();

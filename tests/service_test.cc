@@ -255,6 +255,40 @@ TEST_F(ServiceTest, RepeatSeedResumesFromTheWarmSubgraphTier) {
       << stats.message;
 }
 
+TEST_F(ServiceTest, BlockedChecksCountOnlySearchesThatRan) {
+  StartServer();  // default options: query cache enabled
+  ServiceClient client = Connect();
+  QueryRequest req;
+  req.measure = Measure::kPhp;
+  req.query_node = 29;
+  req.k = 10;
+  ASSERT_EQ(ValueOrDie(client.Query(req)).status, StatusCode::kOk);
+  // A result-cache hit returns the stored answer: its FlosStats describe
+  // the first run, so it must not count that run's failed checks again.
+  ASSERT_TRUE(ValueOrDie(client.Query(req)).cache_hit);
+
+  FlosOptions opts;
+  opts.measure = Measure::kPhp;
+  const FlosResult local = ValueOrDie(FlosTopK(graph_, 29, 10, opts));
+  uint64_t failed = 0;
+  for (size_t i = 0; i < kNumBlockerKinds; ++i) {
+    EXPECT_EQ(server_->metrics().certificate_blocked[i].value(),
+              local.stats.blocked_checks[i])
+        << "kind " << i;
+    failed += local.stats.blocked_checks[i];
+  }
+  EXPECT_GT(failed, 0u);
+
+  const QueryResponse stats = ValueOrDie(client.Stats());
+  for (const char* kind :
+       {"too_few", "interior", "boundary", "fringe", "unvisited"}) {
+    EXPECT_NE(stats.message.find(std::string("counter certificate_blocked_") +
+                                 kind + " "),
+              std::string::npos)
+        << stats.message;
+  }
+}
+
 TEST_F(ServiceTest, QueryCacheCanBeDisabled) {
   ServerOptions options;
   options.query_cache_capacity = 0;
